@@ -14,7 +14,7 @@ Measures the costs that matter for the train/serve split:
 * **overload shedding** — the HTTP front end with admission control armed
   (``max_in_flight``) under a client flood: how cheap a 503 rejection is
   compared to an accepted encode, and the accepted/shed split;
-* **async/shard scaling** — the scale-out stack (asyncio front end over a
+* **shard scaling** — the scale-out stack (the threaded front end over a
   multi-process :class:`~repro.serving.shard.ShardPool`) under 120
   concurrent keep-alive connections, run with 1 and 2 shard workers.
   Every response is checked bit-identical to an unfused sequential encode
@@ -334,7 +334,7 @@ def run_overload_bench(
 
         # --- pure-shed latency: every slot occupied ------------------------
         for _ in range(max_in_flight):
-            assert server.try_admit()
+            assert server.gateway.try_admit()
         start = time.perf_counter()
         for _ in range(shed_probe_requests):
             status = post_once()
@@ -343,7 +343,7 @@ def run_overload_bench(
             (time.perf_counter() - start) / shed_probe_requests * 1e3
         )
         for _ in range(max_in_flight):
-            server.release_request()
+            server.gateway.release_request()
 
         # --- flood: more clients than slots --------------------------------
         statuses: list[list[int]] = [[] for _ in range(n_clients)]
@@ -356,7 +356,7 @@ def run_overload_bench(
         flat = [status for per_client in statuses for status in per_client]
         n_accepted = sum(1 for status in flat if status == 200)
         n_shed = sum(1 for status in flat if status == 503)
-        admission = server.admission.as_dict()
+        admission = server.gateway.admission.as_dict()
     finally:
         fuser.close()
         server.shutdown()
@@ -381,7 +381,7 @@ def run_overload_bench(
     }
 
 
-# ------------------------------------------------- async/shard scaling bench
+# ------------------------------------------------------- shard scaling bench
 async def _async_post_raw(reader, writer, payload: bytes):
     """One keep-alive POST /encode over an open asyncio connection."""
     head = (
@@ -404,7 +404,7 @@ async def _async_post_raw(reader, writer, payload: bytes):
     return status, await reader.readexactly(length)
 
 
-def run_async_shard_scaling_bench(
+def run_shard_scaling_bench(
     bundle,
     data,
     *,
@@ -414,9 +414,9 @@ def run_async_shard_scaling_bench(
     n_models: int = 4,
     worker_counts: tuple = (1, 2),
 ) -> dict:
-    """Async front end + shard pool under 100+ concurrent connections.
+    """Threaded front end + shard pool under 100+ concurrent connections.
 
-    Builds the scale-out serving stack — ``AsyncEncodingServer`` in front
+    Builds the scale-out serving stack — ``EncodingHTTPServer`` in front
     of a :class:`~repro.serving.shard.ShardPool` — and drives it with an
     asyncio load generator holding ``n_connections`` concurrent keep-alive
     connections on one selector loop, once per entry in ``worker_counts``
@@ -433,8 +433,7 @@ def run_async_shard_scaling_bench(
     import asyncio
     import json as json_module
 
-    from repro.serving.async_http import build_async_server
-    from repro.serving.http import ServingGateway
+    from repro.serving.http import ServingGateway, build_server
     from repro.serving.shard import ShardPool
 
     models = [f"m{index}" for index in range(n_models)]
@@ -479,13 +478,13 @@ def run_async_shard_scaling_bench(
     for n_workers in worker_counts:
         pool = ShardPool({name: str(bundle) for name in models}, n_workers)
         try:
-            gateway = ServingGateway(pool)
+            server = build_server(gateway=ServingGateway(pool), port=0)
         except BaseException:
             pool.close()
             raise
-        server = build_async_server(gateway=gateway, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
         try:
-            server.start()
             port = server.server_address[1]
             # Warmup: scratch buffers + per-thread worker connections.
             asyncio.run(drive(port, len(models), 1))
@@ -497,6 +496,7 @@ def run_async_shard_scaling_bench(
         finally:
             server.shutdown()  # drains, then closes the gateway + pool
             server.server_close()
+            thread.join(timeout=5)
 
         n_ok = 0
         for bodies in per_connection:
@@ -581,7 +581,7 @@ def _run_sections(framework, bundle, data, *, smoke: bool, online_framework=None
     )
     # The scale-out stack always runs at >= 100 connections — that IS the
     # scenario; shrinking it in smoke mode would measure nothing.
-    async_shard = run_async_shard_scaling_bench(
+    shard_scaling = run_shard_scaling_bench(
         bundle,
         data,
         requests_per_connection=2 if smoke else 4,
@@ -597,7 +597,7 @@ def _run_sections(framework, bundle, data, *, smoke: bool, online_framework=None
         "concurrent_fusion": fusion,
         "concurrent_fusion_sync": fusion_sync,
         "overload": overload,
-        "async_shard_scaling": async_shard,
+        "shard_scaling": shard_scaling,
     }
 
 
@@ -635,14 +635,14 @@ def _format_summary_lines(sections: dict) -> str:
             f"flood shed fraction {overload['flood_shed_fraction']:.0%}, "
             f"accepted {overload['accepted_requests_per_second']:,.0f} req/s"
         )
-    shard = sections.get("async_shard_scaling")
+    shard = sections.get("shard_scaling")
     if shard is not None:
         per_worker = ", ".join(
             f"{entry['n_workers']}w {entry['requests_per_second']:,.0f} req/s"
             for entry in shard["scaling"]
         )
         lines.append(
-            f"async+shard ({shard['n_connections']} connections x "
+            f"shard scaling ({shard['n_connections']} connections x "
             f"{shard['requests_per_connection']} x "
             f"{shard['rows_per_request']} rows): {per_worker} "
             f"({shard['throughput_scaling']:.2f}x, "
@@ -700,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
     emit(_format_summary_lines(payload["results"]))
     emit(f"serving benchmark report written to {out}")
     for key in ("concurrent_fusion", "concurrent_fusion_sync",
-                "async_shard_scaling"):
+                "shard_scaling"):
         if not payload["results"][key]["bit_identical"]:
             emit(f"ERROR: {key} fused results are not bit-identical to unfused")
             return 1

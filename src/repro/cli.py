@@ -417,11 +417,9 @@ def _build_serving_stack(args: argparse.Namespace):
     everything through ``server.gateway``.
     """
     from repro.serving import BatchFuser, EncodingService
-    from repro.serving.async_http import build_async_server
     from repro.serving.http import ServingGateway, build_server
     from repro.serving.shard import ShardPool
 
-    use_async = getattr(args, "use_async", False)
     shard_workers = getattr(args, "shard_workers", None)
     mappings = _parse_artifact_mappings(args.artifact)
 
@@ -461,20 +459,17 @@ def _build_serving_stack(args: argparse.Namespace):
                 max_wait_ms=args.max_wait_ms,
             )
 
-    builder = build_async_server if use_async else build_server
     build_kwargs = dict(
         host=args.host,
         port=args.port,
         secret=args.secret,
         verbose=args.verbose,
     )
-    if use_async:
-        build_kwargs["executor_threads"] = args.executor_threads
     try:
         if gateway is not None:
-            server = builder(gateway=gateway, **build_kwargs)
+            server = build_server(gateway=gateway, **build_kwargs)
         else:
-            server = builder(
+            server = build_server(
                 service,
                 fuser=fuser,
                 max_in_flight=args.max_in_flight,
@@ -491,12 +486,7 @@ def _build_serving_stack(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
-    from repro.serving.async_http import AsyncEncodingServer
-
     service, fuser, server = _build_serving_stack(args)
-    is_async = isinstance(server, AsyncEncodingServer)
-    if is_async:
-        server.start()
     host, port = server.server_address[:2]
     shard_workers = getattr(args, "shard_workers", None)
     if fuser is not None:
@@ -511,9 +501,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     names = service.model_names if service is not None else server.gateway.model_names
     print(f"serving {len(names)} model(s) {names} "
           f"on http://{host}:{port} ({fusion})", flush=True)
-    if is_async:
-        print(f"front end: async selector loop "
-              f"(executor_threads={args.executor_threads})", flush=True)
     print("routes: POST /encode, GET /models, GET /stats, GET /healthz",
           flush=True)
 
@@ -530,15 +517,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("shutting down")
     finally:
         signal.signal(signal.SIGTERM, previous)
-        if is_async:
-            # Graceful sequence: stop accepting, drain, close the backend.
-            server.shutdown()
-            server.server_close()
-        else:
-            # serve_forever has already exited; release the socket, then
-            # close the backend (fuser flush / shard-pool teardown).
-            server.server_close()
-            server.gateway.close()
+        # serve_forever has already exited; release the socket, then
+        # close the backend (fuser flush / shard-pool teardown).
+        server.server_close()
+        server.gateway.close()
     return 0
 
 
@@ -726,14 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seconds advertised in the Retry-After header "
                                "of shed requests (default: 1)")
     scale = serve.add_argument_group("scale-out")
-    scale.add_argument("--async", dest="use_async", action="store_true",
-                       help="serve on a single asyncio selector loop instead "
-                            "of one thread per connection (same routes and "
-                            "semantics; hundreds of concurrent keep-alive "
-                            "connections per process)")
-    scale.add_argument("--executor-threads", type=int, default=32,
-                       help="worker threads running encode dispatch under "
-                            "--async (default: 32)")
     scale.add_argument("--shard-workers", type=int, default=None, metavar="N",
                        help="partition the models across N worker "
                             "subprocesses via consistent hashing; dead "

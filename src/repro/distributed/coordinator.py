@@ -54,7 +54,6 @@ import signal
 import threading
 import time
 import urllib.parse
-from http.server import ThreadingHTTPServer
 
 from repro.distributed.errors import (
     CellExecutionError,
@@ -77,7 +76,11 @@ from repro.resilience import (
     classify_failure,
     grid_fingerprint,
 )
-from repro.serving.wire import JsonRequestHandler, PayloadTooLargeError
+from repro.serving.wire import (
+    JsonHTTPServer,
+    JsonRequestHandler,
+    PayloadTooLargeError,
+)
 
 __all__ = ["GridCoordinator", "coordinator_signal_drain"]
 
@@ -131,9 +134,7 @@ class _CoordinatorRequestHandler(JsonRequestHandler):
             self.send_json(200, response)
 
 
-class _CoordinatorHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-
+class _CoordinatorHTTPServer(JsonHTTPServer):
     def __init__(
         self,
         address,

@@ -33,7 +33,6 @@ import threading
 import time
 import urllib.parse
 import uuid
-from http.server import ThreadingHTTPServer
 
 from repro.distributed.errors import DistributedError, WorkerJoinError
 from repro.distributed.messages import (
@@ -46,7 +45,12 @@ from repro.distributed.messages import (
     settings_from_wire,
 )
 from repro.exceptions import ValidationError
-from repro.serving.wire import JsonRequestHandler, WireError, request_json
+from repro.serving.wire import (
+    JsonHTTPServer,
+    JsonRequestHandler,
+    WireError,
+    request_json,
+)
 
 __all__ = [
     "WorkerClient",
@@ -505,9 +509,7 @@ class _StandbyRequestHandler(JsonRequestHandler):
         self.send_json(200, {"ok": True})
 
 
-class _StandbyServer(ThreadingHTTPServer):
-    daemon_threads = True
-
+class _StandbyServer(JsonHTTPServer):
     def __init__(self, address, secret: str | None = None) -> None:
         self.join_event = threading.Event()
         self.busy = threading.Event()

@@ -9,16 +9,14 @@ digest, and per-model latency/throughput counters.
 On top of it, :class:`BatchFuser` coalesces *concurrent* requests from many
 threads into single fused matmuls (bit-identical to unfused serving).  The
 HTTP tier exposes the stack over JSON/HTTP via ``python -m repro serve``:
-route logic lives in :class:`ServingGateway` (admission control, deadline
-budgets, dispatch) and is driven by either front end — the threaded
-:mod:`repro.serving.http` or the selector-loop
-:mod:`repro.serving.async_http` (``--async``) — over either backend: the
-in-process :class:`LocalEncodeBackend` or the multi-process
-:class:`ShardPool` (``--shard-workers N``), which consistent-hashes the
-models across worker subprocesses and re-spawns dead ones.
+the threaded :class:`EncodingHTTPServer` (:mod:`repro.serving.http`) holds
+the route table, and :class:`ServingGateway` (admission control, deadline
+budgets, dispatch) drives either backend: the in-process
+:class:`LocalEncodeBackend` or the multi-process :class:`ShardPool`
+(``--shard-workers N``), which consistent-hashes the models across worker
+subprocesses and re-spawns dead ones.
 """
 
-from repro.serving.async_http import AsyncEncodingServer, build_async_server
 from repro.serving.cache import LRUFeatureCache, input_digest
 from repro.serving.fusion import BatchFuser, FuserClosedError, FusionTicket
 from repro.serving.http import (
@@ -33,7 +31,6 @@ from repro.serving.stats import ModelStats
 from repro.serving.wire import JsonRequestHandler, PayloadTooLargeError, request_json
 
 __all__ = [
-    "AsyncEncodingServer",
     "BatchFuser",
     "EncodingHTTPServer",
     "EncodingService",
@@ -47,7 +44,6 @@ __all__ = [
     "PayloadTooLargeError",
     "ServingGateway",
     "ShardPool",
-    "build_async_server",
     "build_server",
     "input_digest",
     "request_json",

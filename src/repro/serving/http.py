@@ -6,16 +6,17 @@ connection, which is exactly the concurrency shape the
 :class:`~repro.serving.fusion.BatchFuser` coalesces: simultaneous ``/encode``
 requests for the same model are answered by shared fused matmuls.  The
 request/response plumbing (JSON bodies, Content-Length validation, the
-413 size cap) lives in :mod:`repro.serving.wire`, shared with the
-distributed experiment protocol.
+413 size cap, the listen backlog, Nagle off) lives in
+:mod:`repro.serving.wire`, shared with the distributed experiment
+protocol.
 
-The route logic itself — admission control, deadline budgets, encode
-dispatch and the ``/models``/``/stats`` snapshots — lives in
-:class:`ServingGateway`, shared verbatim with the asyncio front end
-(:mod:`repro.serving.async_http`) so both speak bit-identical semantics.
-The gateway dispatches to a *backend*: :class:`LocalEncodeBackend`
-(an in-process :class:`EncodingService`, optionally fused) or the
-multi-process :class:`~repro.serving.shard.ShardPool`.
+The route table lives in the request handler; what a request passes
+through besides connection I/O — admission control, deadline budgets,
+encode dispatch and the ``/models``/``/stats`` snapshots — lives in
+:class:`ServingGateway`.  The gateway dispatches to a *backend*:
+:class:`LocalEncodeBackend` (an in-process :class:`EncodingService`,
+optionally fused) or the multi-process
+:class:`~repro.serving.shard.ShardPool`.
 
 Routes
 ------
@@ -57,20 +58,23 @@ from __future__ import annotations
 
 import threading
 import time
-from http.server import ThreadingHTTPServer
 
 import numpy as np
 
 from repro.exceptions import (
     DeadlineExceededError,
-    ReproError,
     ServingError,
     ValidationError,
 )
 from repro.serving.fusion import BatchFuser, FuserClosedError
 from repro.serving.service import EncodingService
 from repro.serving.stats import AdmissionStats
-from repro.serving.wire import MAX_BODY_BYTES, JsonRequestHandler, PayloadTooLargeError
+from repro.serving.wire import (
+    MAX_BODY_BYTES,
+    JsonHTTPServer,
+    JsonRequestHandler,
+    PayloadTooLargeError,
+)
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -79,37 +83,14 @@ __all__ = [
     "LocalEncodeBackend",
     "ServingGateway",
     "build_server",
-    "map_encode_exception",
     "MAX_BODY_BYTES",
 ]
-
-
-def map_encode_exception(exc: BaseException, gateway: "ServingGateway"):
-    """``(status, payload, headers)`` for an exception out of ``handle_encode``.
-
-    The single source of the error mapping, shared by the threaded and
-    asyncio front ends so both answer identical statuses for identical
-    failures.
-    """
-    if isinstance(exc, (DeadlineExceededError, FuserClosedError)):
-        return (
-            503,
-            {"error": str(exc)},
-            {"Retry-After": gateway.retry_after_header},
-        )
-    if isinstance(exc, ServingError):
-        return 404, {"error": str(exc)}, {}
-    if isinstance(exc, PayloadTooLargeError):
-        return 413, {"error": str(exc)}, {}
-    if isinstance(exc, (ValidationError, ValueError, TypeError)):
-        return 400, {"error": str(exc)}, {}
-    return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
 
 
 class LocalEncodeBackend:
     """In-process encode backend: an :class:`EncodingService` + optional fuser.
 
-    The default backend behind both HTTP front ends.  ``/encode`` requests
+    The default backend of the HTTP front end.  ``/encode`` requests
     whose ``use_cache`` matches the fuser's configuration go through the
     fusion queue (concurrent requests share one stacked matmul, the
     deadline budget caps the coalescing wait); mismatching requests fall
@@ -174,12 +155,11 @@ class LocalEncodeBackend:
 
 
 class ServingGateway:
-    """Front-end-agnostic serving logic: admission, deadlines, dispatch.
+    """Serving logic behind the HTTP routes: admission, deadlines, dispatch.
 
-    Owned by exactly one front end (threaded or asyncio) and dispatching
-    to exactly one backend (local service or shard pool).  Everything a
-    request passes through that is not connection I/O lives here, so the
-    two front ends cannot drift apart semantically.
+    Owned by one :class:`EncodingHTTPServer` and dispatching to exactly
+    one backend (local service or shard pool), so the admission and
+    deadline rules are the same whichever backend answers.
     """
 
     def __init__(
@@ -345,16 +325,27 @@ class _EncodingRequestHandler(JsonRequestHandler):
         try:
             request = self.read_json_body()
             response = gateway.handle_encode(request, arrival=arrival)
-        except Exception as exc:  # noqa: BLE001 - mapped to a status below
-            status, payload, headers = map_encode_exception(exc, gateway)
-            self.send_json(status, payload, headers=headers or None)
+        except (DeadlineExceededError, FuserClosedError) as exc:
+            self.send_json(
+                503,
+                {"error": str(exc)},
+                headers={"Retry-After": gateway.retry_after_header},
+            )
+        except ServingError as exc:
+            self.send_error_json(404, str(exc))
+        except PayloadTooLargeError as exc:
+            self.send_error_json(413, str(exc))
+        except (ValidationError, ValueError, TypeError) as exc:
+            self.send_error_json(400, str(exc))
+        except Exception as exc:  # noqa: BLE001 - last-resort 500
+            self.send_error_json(500, f"{type(exc).__name__}: {exc}")
         else:
             self.send_json(200, response)
         finally:
             gateway.release_request()
 
 
-class EncodingHTTPServer(ThreadingHTTPServer):
+class EncodingHTTPServer(JsonHTTPServer):
     """Threaded HTTP server wrapping an :class:`EncodingService`.
 
     Parameters
@@ -387,8 +378,6 @@ class EncodingHTTPServer(ThreadingHTTPServer):
         Log one line per request to stderr (stdlib format).
     """
 
-    daemon_threads = True
-
     def __init__(
         self,
         address: tuple[str, int],
@@ -419,45 +408,6 @@ class EncodingHTTPServer(ThreadingHTTPServer):
         self._shutdown_lock = threading.Lock()
         self._shut_down = False
         super().__init__(address, _EncodingRequestHandler)
-
-    # --------------------------------------------------- gateway delegation
-    # Kept as thin delegates so embedding code (benchmarks, tests) written
-    # against the pre-gateway API keeps working unchanged.
-    @property
-    def admission(self) -> AdmissionStats:
-        return self.gateway.admission
-
-    @property
-    def max_in_flight(self) -> int | None:
-        return self.gateway.max_in_flight
-
-    @property
-    def retry_after(self) -> float:
-        return self.gateway.retry_after
-
-    @property
-    def retry_after_header(self) -> int:
-        return self.gateway.retry_after_header
-
-    def try_admit(self) -> bool:
-        return self.gateway.try_admit()
-
-    def release_request(self) -> None:
-        self.gateway.release_request()
-
-    def handle_encode(self, request: dict, *, arrival: float | None = None) -> dict:
-        return self.gateway.handle_encode(request, arrival=arrival)
-
-    def _remaining_budget_ms(
-        self, request: dict, arrival: float | None
-    ) -> float | None:
-        return self.gateway._remaining_budget_ms(request, arrival)
-
-    def describe_models(self) -> dict:
-        return self.gateway.describe_models()
-
-    def describe_stats(self) -> dict:
-        return self.gateway.describe_stats()
 
     # ------------------------------------------------------------ lifecycle
     def shutdown(self, *, drain_timeout: float = 10.0) -> None:

@@ -27,7 +27,7 @@ connection setup.
 :class:`ShardPool` implements the same backend protocol as
 :class:`~repro.serving.http.LocalEncodeBackend` (``model_names``,
 ``encode_request``, ``describe_models``, ``describe_stats``, ``close``), so
-a :class:`~repro.serving.http.ServingGateway` — and with it either HTTP
+a :class:`~repro.serving.http.ServingGateway` — and with it the HTTP
 front end — drives a shard pool exactly like an in-process service.
 
 ``python -m repro.serving.shard`` is the worker entry point (spawned by the
@@ -315,7 +315,7 @@ class ShardWorkerProcess:
 class ShardPool:
     """Consistent-hash routed pool of shard worker subprocesses.
 
-    Implements the gateway backend protocol, so either HTTP front end can
+    Implements the gateway backend protocol, so the HTTP front end can
     sit in front of it (``repro serve --shard-workers N``).
 
     Parameters

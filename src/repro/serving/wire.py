@@ -1,10 +1,16 @@
 """Shared JSON-over-HTTP plumbing for the serving and distributed layers.
 
-Both the encoding front end (:mod:`repro.serving.http`) and the distributed
-experiment coordinator/worker protocol (:mod:`repro.distributed`) speak the
-same dialect: JSON request bodies, JSON responses, keep-alive connections and
-explicit error mapping.  This module holds the pieces they share:
+The encoding front end (:mod:`repro.serving.http`), its shard workers
+(:mod:`repro.serving.shard`) and the distributed experiment
+coordinator/worker protocol (:mod:`repro.distributed`) all run on the
+stdlib threaded server and speak the same dialect: JSON request bodies,
+JSON responses, keep-alive connections and explicit error mapping.  This
+module holds the pieces they share:
 
+* :class:`JsonHTTPServer` — the :class:`~http.server.ThreadingHTTPServer`
+  base of every one of those servers: daemon handler threads, and a listen
+  backlog deep enough that a burst of simultaneous connects is queued
+  instead of reset;
 * :class:`JsonRequestHandler` — a :class:`~http.server.BaseHTTPRequestHandler`
   base class with safe body reading (Content-Length validation so a missing
   or garbage header can never hang a blocking read, and a size cap answered
@@ -28,7 +34,7 @@ import hmac
 import http.client
 import json
 import socket
-from http.server import BaseHTTPRequestHandler
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.exceptions import ReproError, ValidationError
 
@@ -37,10 +43,9 @@ __all__ = [
     "SECRET_HEADER",
     "PayloadTooLargeError",
     "WireError",
+    "JsonHTTPServer",
     "JsonRequestHandler",
-    "decode_json_object",
     "request_json",
-    "validate_content_length",
 ]
 
 #: Header carrying the shared secret on authenticated deployments.
@@ -59,46 +64,18 @@ class WireError(ReproError, ConnectionError):
     refused or reset, timeout, or a non-JSON response body)."""
 
 
-def validate_content_length(raw: str | None, max_bytes: int) -> int:
-    """Validated ``Content-Length`` value shared by every front end.
+class JsonHTTPServer(ThreadingHTTPServer):
+    """Threaded server base of every JSON/HTTP server in the repo.
 
-    The threaded handler and the asyncio parser must agree byte-for-byte
-    on what framing is acceptable, so the rules live in one place: a
-    missing, non-numeric or negative header raises
-    :class:`ValidationError` (HTTP 400 — a blocking body read without a
-    trustworthy length would hang the reader), and a length past
-    ``max_bytes`` raises :class:`PayloadTooLargeError` (HTTP 413).
+    The stdlib listen backlog of 5 overflows as soon as more clients
+    connect at once than the accept loop can take in one pass; the kernel
+    then drops or resets the excess connections.  A backlog of 1024 (the
+    kernel still caps it at ``net.core.somaxconn``) queues such a burst
+    until the accept loop catches up.
     """
-    if raw is None:
-        raise ValidationError("request requires a Content-Length header")
-    try:
-        length = int(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"invalid Content-Length header {raw!r}") from None
-    if length < 0:
-        raise ValidationError(f"invalid Content-Length header {raw!r}")
-    if length > max_bytes:
-        raise PayloadTooLargeError(
-            f"request body of {length} bytes exceeds the {max_bytes}-byte limit"
-        )
-    return length
 
-
-def decode_json_object(raw: bytes) -> dict:
-    """Decode a request body as a JSON object (shared by every front end).
-
-    Raises :class:`ValidationError` for an empty body, undecodable bytes
-    or a body that is valid JSON but not an object.
-    """
-    if not raw:
-        raise ValidationError("request requires a JSON body")
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"request body is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError("request body must be a JSON object")
-    return payload
+    daemon_threads = True
+    request_queue_size = 1024
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
@@ -110,6 +87,12 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+
+    # A response goes out as two writes, the head and then the body.  With
+    # Nagle's algorithm on, the body waits until the client ACKs the head,
+    # and a client that has nothing to send delays that ACK by ~40 ms, so
+    # every keep-alive request would stall for the delayed-ACK timeout.
+    disable_nagle_algorithm = True
 
     #: Per-handler request-body cap; subclasses may override.
     max_body_bytes = MAX_BODY_BYTES
@@ -169,16 +152,25 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         :class:`PayloadTooLargeError` (HTTP 413) when it exceeds
         :attr:`max_body_bytes`.
         """
+        raw = self.headers.get("Content-Length")
+        if raw is None:
+            raise ValidationError("request requires a Content-Length header")
         try:
-            return validate_content_length(
-                self.headers.get("Content-Length"), self.max_body_bytes
-            )
-        except PayloadTooLargeError:
+            length = int(raw)
+        except ValueError:
+            raise ValidationError(f"invalid Content-Length header {raw!r}") from None
+        if length < 0:
+            raise ValidationError(f"invalid Content-Length header {raw!r}")
+        if length > self.max_body_bytes:
             # The unread body would desync a keep-alive connection (the next
             # request line would be parsed out of the body bytes), so force
             # this connection closed after the error response.
             self.close_connection = True
-            raise
+            raise PayloadTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{self.max_body_bytes}-byte limit"
+            )
+        return length
 
     def read_json_body(self) -> dict:
         """The request body decoded as a JSON object.
@@ -190,7 +182,13 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         length = self.content_length()
         if length == 0:
             raise ValidationError("request requires a JSON body")
-        return decode_json_object(self.rfile.read(length))
+        try:
+            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"request body is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValidationError("request body must be a JSON object")
+        return payload
 
     def drain_body(self) -> None:
         """Consume (or sever) an unread request body on a rejected route.

@@ -145,7 +145,7 @@ class TestUnfusedHTTPPath:
             assert error.headers["Retry-After"] is not None
             body = json.load(error)
             assert "deadline budget" in body["error"]
-            assert server.admission.as_dict()["n_deadline_shed"] == 1
+            assert server.gateway.admission.as_dict()["n_deadline_shed"] == 1
         finally:
             release.set()
             server.shutdown()

@@ -1,9 +1,15 @@
-"""Tests for the JSON/HTTP serving front end (``repro.serving.http``)."""
+"""Tests for the JSON/HTTP serving front end (``repro.serving.http``) and
+the threaded server base it shares with the distributed servers."""
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -13,8 +19,10 @@ import pytest
 from repro.core.config import FrameworkConfig
 from repro.core.framework import SelfLearningEncodingFramework
 from repro.datasets.synthetic import make_overlapping_binary_clusters
+from repro.distributed.coordinator import _CoordinatorHTTPServer
+from repro.distributed.worker import _StandbyServer
 from repro.serving import BatchFuser, EncodingService
-from repro.serving.http import build_server
+from repro.serving.http import EncodingHTTPServer, build_server
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +113,16 @@ class TestRoutes:
             get_json(base + "/nope")
         assert excinfo.value.code == 404
 
+    def test_unsupported_method_is_501(self, server_stack):
+        _, _, _, base = server_stack
+        host, port = base.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            connection.request("DELETE", "/encode")
+            assert connection.getresponse().status == 501
+        finally:
+            connection.close()
+
 
 class TestEncodeRoute:
     def test_encode_matches_direct_service_call(self, server_stack):
@@ -193,8 +211,6 @@ class TestEncodeRoute:
         # The body of a rejected POST must be drained, or the next request
         # on the same persistent connection is parsed out of the leftover
         # body bytes.
-        import http.client
-
         _, _, _, base = server_stack
         host, port = base.removeprefix("http://").split(":")
         connection = http.client.HTTPConnection(host, int(port), timeout=10)
@@ -244,8 +260,6 @@ class TestRequestHardening:
         """POST /encode with hand-rolled headers (http.client would insert
         a correct Content-Length, which is exactly what these tests must
         be able to omit or corrupt)."""
-        import http.client
-
         host, port = base.removeprefix("http://").split(":")
         connection = http.client.HTTPConnection(host, int(port), timeout=10)
         try:
@@ -264,13 +278,20 @@ class TestRequestHardening:
         from repro.serving.http import MAX_BODY_BYTES
 
         _, _, _, base = server_stack
+        host, port = base.removeprefix("http://").split(":")
         # The server must reject from the header alone — this request never
-        # sends (nor could it) the advertised 64 MiB body.
-        status, payload = self.raw_request(
-            base, {"Content-Length": str(MAX_BODY_BYTES + 1)}
+        # sends (nor could it) the advertised 64 MiB body — and then close
+        # the connection, whose unread body would desync keep-alive.
+        head = (
+            "POST /encode HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
         )
-        assert status == 413
-        assert "exceeds" in payload["error"]
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(head.encode("latin-1"))
+            with sock.makefile("rb") as stream:
+                response = stream.read()  # returns once the server closes
+        assert response.startswith(b"HTTP/1.1 413")
+        assert b"exceeds" in response
 
     def test_missing_content_length_is_400(self, server_stack):
         _, _, _, base = server_stack
@@ -295,8 +316,6 @@ class TestRequestHardening:
         from repro.serving.http import MAX_BODY_BYTES
 
         _, _, _, base = server_stack
-        import http.client
-
         host, port = base.removeprefix("http://").split(":")
         connection = http.client.HTTPConnection(host, int(port), timeout=10)
         try:
@@ -317,3 +336,100 @@ class TestRequestHardening:
             base + "/encode", {"model": "ir", "data": data[:2].tolist()}
         )
         assert payload["model"] == "ir"
+
+
+class TestKeepAlive:
+    """Back-to-back requests on one keep-alive connection must not stall.
+
+    A response is written as the head and then the body.  With Nagle's
+    algorithm on, the body waited for the client's delayed ACK of the head,
+    about 40 ms per request: 20 requests took 0.84–0.92 s.
+    """
+
+    @pytest.mark.parametrize("route", ["/healthz", "/encode"])
+    def test_twenty_requests_on_one_connection(self, server_stack, route):
+        _, _, data, base = server_stack
+        method, body = "GET", None
+        if route == "/encode":
+            method = "POST"
+            body = json.dumps({"model": "ir", "data": data[:3].tolist()})
+        host, port = base.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request(method, route, body=body)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.2f}s"
+
+
+HEALTHZ_THEN_CLOSE = (
+    b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+)
+
+
+def response_status(sock: socket.socket, deadline: float) -> str:
+    """Status code of the response on ``sock``, or the error's name."""
+    try:
+        sock.settimeout(max(deadline - time.monotonic(), 0.01))
+        with sock.makefile("rb") as stream:
+            response = stream.read()  # Connection: close -> read to EOF
+    except OSError as exc:
+        return type(exc).__name__
+    return response.split(b" ", 2)[1].decode() if response else "EOF"
+
+
+class TestConnectBurst:
+    """A burst of simultaneous connects is queued, not reset.
+
+    Every threaded server in the repo inherits its listen backlog from
+    ``wire.JsonHTTPServer``.  At the stdlib backlog of 5, each of these
+    servers left 61–78 connections of this burst unanswered after 10 s.
+    """
+
+    N_CONNECTIONS = 120
+
+    @pytest.mark.parametrize(
+        "make_server",
+        [
+            pytest.param(
+                lambda address: EncodingHTTPServer(address, EncodingService()),
+                id="encoding",
+            ),
+            pytest.param(
+                lambda address: _CoordinatorHTTPServer(address, None, False),
+                id="coordinator",
+            ),
+            pytest.param(_StandbyServer, id="standby"),
+        ],
+    )
+    def test_every_connection_is_answered(self, make_server):
+        server = make_server(("127.0.0.1", 0))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        sockets = [socket.socket() for _ in range(self.N_CONNECTIONS)]
+        try:
+            for sock in sockets:
+                # Non-blocking: every SYN is out before the first accept.
+                sock.setblocking(False)
+                sock.connect_ex(server.server_address[:2])
+            deadline = time.monotonic() + 10.0
+            for sock in sockets:
+                sock.settimeout(max(deadline - time.monotonic(), 0.01))
+                # A failed send shows up as a failed read below.
+                with contextlib.suppress(OSError):
+                    sock.sendall(HEALTHZ_THEN_CLOSE)
+            outcomes = [response_status(sock, deadline) for sock in sockets]
+        finally:
+            for sock in sockets:
+                sock.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert collections.Counter(outcomes) == {"200": self.N_CONNECTIONS}

@@ -59,7 +59,7 @@ class TestDescribeModels:
         service.register("ir", framework)
         server = build_server(service, port=0)
         try:
-            assert server.describe_models() == service.describe_models()
+            assert server.gateway.describe_models() == service.describe_models()
         finally:
             server.server_close()
 

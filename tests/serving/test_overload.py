@@ -89,28 +89,29 @@ def post_error(base, payload, headers=None):
 class TestAdmissionGate:
     def test_full_server_sheds_with_retry_after(self, gated_stack):
         server, _, data, base = gated_stack
+        gateway = server.gateway
         payload = {"model": "ir", "data": data[:3].tolist()}
-        assert server.try_admit() and server.try_admit()  # occupy both slots
+        assert gateway.try_admit() and gateway.try_admit()  # occupy both slots
         try:
             code, headers, body = post_error(base, payload)
             assert code == 503
             assert headers["Retry-After"] == "3"  # ceil(2.5)
             assert "capacity" in body["error"]
         finally:
-            server.release_request()
-            server.release_request()
+            gateway.release_request()
+            gateway.release_request()
         # With the slots free again the same request succeeds.
         assert post(base, payload)["model"] == "ir"
 
     def test_stats_expose_the_admission_counters(self, gated_stack):
         server, _, data, base = gated_stack
-        server.try_admit()
-        server.try_admit()
+        server.gateway.try_admit()
+        server.gateway.try_admit()
         try:
             post_error(base, {"model": "ir", "data": data[:3].tolist()})
         finally:
-            server.release_request()
-            server.release_request()
+            server.gateway.release_request()
+            server.gateway.release_request()
         post(base, {"model": "ir", "data": data[:3].tolist()})
         with urllib.request.urlopen(base + "/stats", timeout=10) as response:
             stats = json.load(response)
@@ -129,7 +130,7 @@ class TestAdmissionGate:
         try:
             for _ in range(4):
                 assert post(base, {"model": "ir", "data": data[:2].tolist()})
-            assert server.admission.as_dict()["n_shed"] == 0
+            assert server.gateway.admission.as_dict()["n_shed"] == 0
         finally:
             server.shutdown()
             server.server_close()
@@ -157,8 +158,8 @@ class TestDeadlineBudget:
         assert code == 503
         assert "Retry-After" in headers
         assert "deadline" in body["error"]
-        assert server.admission.as_dict()["n_deadline_shed"] >= 1
-        assert server.admission.as_dict()["in_flight"] == 0
+        assert server.gateway.admission.as_dict()["n_deadline_shed"] >= 1
+        assert server.gateway.admission.as_dict()["in_flight"] == 0
 
     def test_generous_budget_computes_normally(self, gated_stack):
         _, framework, data, base = gated_stack
@@ -183,19 +184,19 @@ class TestDeadlineBudget:
     def test_remaining_budget_shrinks_with_elapsed_time(self, gated_stack):
         server, _, _, _ = gated_stack
         arrival = time.monotonic() - 0.05  # the request is 50ms old
-        remaining = server._remaining_budget_ms(
+        remaining = server.gateway._remaining_budget_ms(
             {"deadline_ms": 100.0}, arrival
         )
         assert 20.0 < remaining < 60.0
 
     def test_spent_budget_raises_and_counts(self, gated_stack):
         server, _, _, _ = gated_stack
-        before = server.admission.as_dict()["n_deadline_shed"]
+        before = server.gateway.admission.as_dict()["n_deadline_shed"]
         with pytest.raises(DeadlineExceededError, match="budget"):
-            server._remaining_budget_ms(
+            server.gateway._remaining_budget_ms(
                 {"deadline_ms": 10.0}, time.monotonic() - 1.0
             )
-        assert server.admission.as_dict()["n_deadline_shed"] == before + 1
+        assert server.gateway.admission.as_dict()["n_deadline_shed"] == before + 1
 
 
 class TestAdmissionStatsUnit:

@@ -1,10 +1,10 @@
 """Serving-scale smoke: 100+ concurrent connections against the CLI stack.
 
-Drives a real ``repro serve --async --shard-workers 2`` subprocess — the
-exact deployment shape — with an asyncio load generator holding 120
-concurrent keep-alive connections on a single selector loop, then stops it
-with SIGTERM and requires a clean exit.  Every response is checked
-bit-identical against an unfused sequential encode of the same rows.
+Drives a real ``repro serve --shard-workers 2`` subprocess — the exact
+deployment shape — with an asyncio load generator opening 120 concurrent
+keep-alive connections at once, then stops it with SIGTERM and requires a
+clean exit.  Every response is checked bit-identical against an unfused
+sequential encode of the same rows.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ async def _drive_load(port: int, rows: list) -> list:
     return await asyncio.gather(*tasks)
 
 
-class TestAsyncShardedScale:
+class TestShardedScale:
     def test_120_concurrent_connections_bit_identical_and_clean_sigterm(
         self, artifact
     ):
@@ -121,7 +121,7 @@ class TestAsyncShardedScale:
             + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
         )
         command = [sys.executable, "-m", "repro", "serve", "--port", "0",
-                   "--async", "--shard-workers", "2"]
+                   "--shard-workers", "2"]
         for name in MODELS:
             command.extend(["--artifact", f"{name}={bundle}"])
         process = subprocess.Popen(

@@ -93,7 +93,7 @@ class TestShutdownUnderLoad:
 
         # Wait until every client's request is admitted (inside the server).
         deadline = time.monotonic() + 10
-        while server.admission.as_dict()["n_admitted"] < n_clients:
+        while server.gateway.admission.as_dict()["n_admitted"] < n_clients:
             assert time.monotonic() < deadline, "clients were never admitted"
             time.sleep(0.005)
 
@@ -115,7 +115,7 @@ class TestShutdownUnderLoad:
 
         # Only after the drain is the fuser closed.
         assert fuser.closed
-        assert server.admission.as_dict()["in_flight"] == 0
+        assert server.gateway.admission.as_dict()["in_flight"] == 0
 
     def test_shutdown_is_idempotent(self, fitted):
         framework, _ = fitted

@@ -273,58 +273,6 @@ class TestServe:
 
 
 class TestServeScaleOut:
-    def test_serve_async_announces_and_runs(self, artifact, capsys, monkeypatch):
-        from repro.serving.async_http import AsyncEncodingServer
-
-        monkeypatch.setattr(
-            AsyncEncodingServer, "serve_forever", lambda self: None
-        )
-        code = main([
-            "serve", "--artifact", f"ir={artifact}", "--port", "0", "--async",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "serving 1 model(s) ['ir']" in out
-        assert "front end: async selector loop" in out
-        assert "POST /encode" in out
-
-    def test_build_serving_stack_async_end_to_end(self, artifact):
-        import json as json_module
-        import urllib.request
-
-        from repro.cli import _build_serving_stack, build_parser
-        from repro.serving.async_http import AsyncEncodingServer
-
-        args = build_parser().parse_args(
-            ["serve", "--artifact", f"ir={artifact}", "--port", "0", "--async"]
-        )
-        service, fuser, server = _build_serving_stack(args)
-        assert isinstance(server, AsyncEncodingServer)
-        server.start()
-        base = f"http://127.0.0.1:{server.server_port}"
-        try:
-            health = json_module.load(
-                urllib.request.urlopen(base + "/healthz", timeout=10)
-            )
-            assert health == {"status": "ok", "models": ["ir"]}
-            dataset = load_uci_dataset("IR", scale=0.5, random_state=0)
-            body = json_module.dumps(
-                {"model": "ir", "data": dataset.data[:4].tolist()}
-            ).encode()
-            response = json_module.load(
-                urllib.request.urlopen(
-                    urllib.request.Request(base + "/encode", data=body),
-                    timeout=10,
-                )
-            )
-            expected = service.encode("ir", dataset.data[:4], use_cache=False)
-            np.testing.assert_array_equal(
-                np.asarray(response["features"]), expected
-            )
-        finally:
-            server.shutdown()
-            server.server_close()
-
     def test_build_serving_stack_sharded(self, artifact):
         import json as json_module
         import threading
