@@ -22,7 +22,9 @@ Routes (all JSON; the plumbing is :mod:`repro.serving.wire`)
     backoff up to ``max_cell_retries``; deterministic ones — or transient
     ones past the retry budget — abort the grid (they would fail on every
     retry).
-``POST /worker/heartbeat`` ``{worker_id}`` → renews the worker's leases.
+``POST /worker/heartbeat`` ``{worker_id, cell_ids}`` → renews the leases
+    of the cells the worker is computing (all its leases when ``cell_ids``
+    is absent); a lease whose grant never reached the worker then expires.
 ``POST /worker/bye``       ``{worker_id}`` → releases its leases instantly.
 ``GET  /dataset/<abbr>``   → the dataset matrix (workers cache it per grid,
     verifying its sha256 digest before trusting the copy).
@@ -454,7 +456,10 @@ class GridCoordinator:
         worker_id = str(request.get("worker_id") or "")
         if not worker_id:
             raise ValidationError("heartbeat requires a worker_id")
-        renewed = self.queue.heartbeat(worker_id)
+        cell_ids = request.get("cell_ids")
+        if cell_ids is not None and not isinstance(cell_ids, list):
+            raise ValidationError("heartbeat cell_ids must be a list")
+        renewed = self.queue.heartbeat(worker_id, cell_ids)
         return {
             "renewed": renewed,
             "stop": self._draining or self._failure is not None or self.queue.done,

@@ -137,14 +137,24 @@ class LeaseQueue:
             )
             return cell_id
 
-    def heartbeat(self, worker_id: str) -> int:
-        """Renew every lease held by ``worker_id``; returns how many."""
+    def heartbeat(self, worker_id: str, cell_ids=None) -> int:
+        """Renew the leases held by ``worker_id``; returns how many.
+
+        ``cell_ids`` names the cells the worker is computing (``None``: all
+        of its leases).  Any other lease of the worker was granted by an
+        exchange whose response never reached it, so nobody computes that
+        cell; renewing it would keep the cell out of the queue for good.
+        """
         worker_id = str(worker_id)
+        if cell_ids is not None:
+            cell_ids = {str(cell_id) for cell_id in cell_ids}
         with self._lock:
             deadline = self._clock() + self.lease_timeout
             renewed = 0
             for lease in self._leases.values():
-                if lease.worker_id == worker_id:
+                if lease.worker_id == worker_id and (
+                    cell_ids is None or lease.cell_id in cell_ids
+                ):
                     lease.deadline = deadline
                     renewed += 1
             return renewed

@@ -11,8 +11,10 @@ GridCoordinator`.  Two modes share one pull loop:
   grid, then returns to standby for the next one.
 
 The pull loop is where the fault-tolerance contract is honoured from the
-worker side: a background thread heartbeats at a fraction of the lease
-timeout so only a *dead* worker ever lets a lease lapse; transport failures
+worker side: a background thread heartbeats the cell in flight at a
+fraction of the lease timeout, so only a *dead* worker ever lets the lease
+of a cell it is computing lapse (a lease granted by a lease exchange whose
+response was lost lapses too, and its cell is re-queued); transport failures
 reconnect with capped exponential backoff; SIGTERM/SIGINT finish the cell
 in flight, say goodbye (releasing leases instantly) and exit 0.
 
@@ -48,6 +50,7 @@ from repro.exceptions import ValidationError
 from repro.serving.wire import (
     JsonHTTPServer,
     JsonRequestHandler,
+    PayloadTooLargeError,
     WireError,
     request_json,
 )
@@ -128,6 +131,8 @@ class WorkerClient:
         self._heartbeat_interval = 1.0
         self._datasets: dict[str, object] = {}
         self._supervision_cache: dict = {}
+        #: The cell being computed or reported (the one lease to renew).
+        self._cell_id: str | None = None
         self.n_cells_done = 0
         self.n_cells_failed = 0
 
@@ -195,13 +200,17 @@ class WorkerClient:
     # ------------------------------------------------------------- heartbeat
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self._heartbeat_interval):
+            cell_id = self._cell_id
             try:
                 request_json(
                     self.host,
                     self.port,
                     "POST",
                     "/worker/heartbeat",
-                    {"worker_id": self.worker_id},
+                    {
+                        "worker_id": self.worker_id,
+                        "cell_ids": [] if cell_id is None else [cell_id],
+                    },
                     timeout=10.0,
                     secret=self.secret,
                 )
@@ -310,8 +319,13 @@ class WorkerClient:
                     # remaining leases; poll again shortly.
                     self._stop.wait(self.poll_interval)
                     continue
-                if self._execute(cell_from_wire(cell_payload)):
-                    break
+                cell = cell_from_wire(cell_payload)
+                self._cell_id = cell["cell_id"]
+                try:
+                    if self._execute(cell):
+                        break
+                finally:
+                    self._cell_id = None
         finally:
             self._stop.set()
             heartbeat.join(timeout=2)
@@ -492,6 +506,9 @@ class _StandbyRequestHandler(JsonRequestHandler):
             request = self.read_json_body()
             check_protocol(request, side="runner")
             coordinator = parse_address(request.get("coordinator") or "")
+        except PayloadTooLargeError as exc:
+            self.send_error_json(413, str(exc))
+            return
         except (ValidationError, ValueError, TypeError) as exc:
             self.send_error_json(400, str(exc))
             return

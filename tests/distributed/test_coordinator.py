@@ -272,6 +272,24 @@ class TestHeartbeatAndBye:
         assert status == 200
         assert body == {"renewed": 1, "stop": False}
 
+    def test_heartbeat_renews_only_the_cells_in_flight(self, coordinator):
+        call(coordinator, "POST", "/cell/lease", {"worker_id": "w1"})
+        call(coordinator, "POST", "/cell/lease", {"worker_id": "w1"})
+        status, body = call(
+            coordinator, "POST", "/worker/heartbeat",
+            {"worker_id": "w1", "cell_ids": ["0:1"]},
+        )
+        assert status == 200
+        assert body == {"renewed": 1, "stop": False}
+
+    def test_heartbeat_cell_ids_must_be_a_list(self, coordinator):
+        status, body = call(
+            coordinator, "POST", "/worker/heartbeat",
+            {"worker_id": "w1", "cell_ids": "0:0"},
+        )
+        assert status == 400
+        assert "cell_ids" in body["error"]
+
     def test_bye_releases_leases(self, coordinator):
         call(coordinator, "POST", "/cell/lease", {"worker_id": "w1"})
         status, body = call(

@@ -10,6 +10,9 @@ Three layers of the same guarantee:
 * chaos (slow) — a full distributed grid runs behind a seeded
   :class:`FaultProxy` injecting 500s, drops, resets and duplicates, with
   the journal armed, and still merges bit-identically.
+
+A fourth test replays the chaos grid's worst fault by script: a duplicated
+lease request whose second grant the worker never sees.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -27,9 +31,15 @@ import pytest
 from repro.datasets import load_uci_suite
 from repro.datasets.base import Dataset, DatasetSuite
 from repro.distributed import GridCoordinator
+from repro.distributed.worker import WorkerClient
 from repro.exceptions import ValidationError
 from repro.experiments.runner import ExperimentRunner
-from repro.resilience import FaultProxy, FaultSchedule, JournalError
+from repro.resilience import (
+    FaultProxy,
+    FaultSchedule,
+    JournalError,
+    ScriptedSchedule,
+)
 
 SETTINGS = {
     "n_hidden": 4,
@@ -307,3 +317,38 @@ class TestChaosGrid:
         assert n_faults >= 1, f"no fault ever fired: {counters}"
         # Every accepted result survived the chaos into the journal.
         assert _count_journalled_cells(tmp_path / "chaos.jsonl") >= 12
+
+
+class TestLostLeaseGrant:
+    def test_grant_the_worker_never_saw_is_requeued(self):
+        """A lease request relayed twice grants two cells, but the worker
+        only hears of the first.  Its heartbeats name the cell it computes,
+        so the orphaned lease expires and the grid still finishes; renewing
+        every lease of the worker kept the orphan alive forever."""
+        dataset = list(load_uci_suite(scale=0.25, random_state=0))[0]
+        cells = [
+            {"cell_id": f"0:{repeat}", "dataset_ref": dataset.abbreviation,
+             "algorithm": "DP", "label": "DP", "repeat": repeat}
+            for repeat in range(2)
+        ]
+        settings = ExperimentRunner(("DP",), random_state=0)._settings()
+        coordinator = GridCoordinator(
+            cells, {dataset.abbreviation: dataset}, settings,
+            lease_timeout=1.0,
+        ).start()
+        # Request 1 registers; request 2 is the first lease, sent twice.
+        schedule = ScriptedSchedule(["relay", "duplicate"])
+        proxy = FaultProxy(*coordinator.address, schedule=schedule).start()
+        client = WorkerClient(*proxy.address, poll_interval=0.02)
+        thread = threading.Thread(target=client.run, daemon=True)
+        thread.start()
+        try:
+            results = coordinator.wait(timeout=20.0, poll=0.05)
+        finally:
+            client.stop()
+            thread.join(timeout=10)
+            proxy.stop()
+            coordinator.stop()
+        assert schedule.log[1] == ("/cell/lease", "duplicate")
+        assert set(results) == {"0:0", "0:1"}
+        assert coordinator.queue.counters()["n_expired_leases"] == 1

@@ -128,6 +128,24 @@ class TestHeartbeat:
         queue.lease("w1")
         assert queue.heartbeat("ghost") == 0
 
+    def test_heartbeat_renews_only_the_named_cells(self, clock):
+        queue = make_queue(clock, lease_timeout=10.0)
+        queue.lease("w1")
+        queue.lease("w1")  # granted, but the worker never heard of it
+        clock.advance(8.0)
+        assert queue.heartbeat("w1", ["a"]) == 1
+        clock.advance(4.0)
+        assert queue.expire_overdue() == ["b"]
+        assert queue.lease("w2") == "b"
+
+    def test_idle_heartbeat_lets_every_lease_lapse(self, clock):
+        queue = make_queue(clock, lease_timeout=10.0)
+        queue.lease("w1")
+        clock.advance(8.0)
+        assert queue.heartbeat("w1", []) == 0
+        clock.advance(4.0)
+        assert queue.expire_overdue() == ["a"]
+
 
 class TestCompletion:
     def test_complete_is_idempotent(self, clock):

@@ -112,13 +112,18 @@ class TestWorkerLoss:
             response = real_handle_lease(coordinator, request)
             if response.get("cell") is not None:
                 state["n_granted"] += 1
-                # By the third grant both workers have touched the grid and
-                # at least one lease is live on the first worker.  Killing
-                # it *before this response is delivered* guarantees a lease
-                # dies with it — the cell must come back via expiry.
+                # Killing the worker this third cell is granted to *before
+                # the response is delivered* guarantees a lease dies with
+                # it — the cell must come back via expiry.  (Killing some
+                # other worker could catch it between two cells, holding
+                # nothing.)  Loopback worker ids are hostname-pid-suffix.
                 if state["n_granted"] == 3 and not state["killed"]:
                     state["killed"] = True
-                    pool_box[0].kill_one()
+                    pid = int(request["worker_id"].rsplit("-", 2)[1])
+                    for process in pool_box[0].processes:
+                        if process.pid == pid:
+                            process.kill()
+                            process.wait(timeout=10)
             return response
 
         monkeypatch.setitem(

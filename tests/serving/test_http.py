@@ -18,7 +18,9 @@ import pytest
 
 from repro.core.config import FrameworkConfig
 from repro.core.framework import SelfLearningEncodingFramework
+from repro.datasets.base import Dataset
 from repro.datasets.synthetic import make_overlapping_binary_clusters
+from repro.distributed import GridCoordinator
 from repro.distributed.coordinator import _CoordinatorHTTPServer
 from repro.distributed.worker import _StandbyServer
 from repro.serving import BatchFuser, EncodingService
@@ -72,6 +74,24 @@ def post_json(url: str, payload: dict) -> dict:
     )
     with urllib.request.urlopen(request, timeout=10) as response:
         return json.load(response)
+
+
+def raw_post(address, route: str, headers: dict, body: bytes = b""):
+    """POST with hand-rolled headers (http.client would insert a correct
+    Content-Length, which is exactly what the framing tests must be able
+    to omit or corrupt); returns ``(status, payload)``."""
+    connection = http.client.HTTPConnection(*address, timeout=10)
+    try:
+        connection.putrequest("POST", route, skip_accept_encoding=True)
+        for name, value in headers.items():
+            connection.putheader(name, value)
+        connection.endheaders()
+        if body:
+            connection.send(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 def post_error(url: str, body: bytes) -> tuple[int, dict]:
@@ -257,22 +277,8 @@ class TestRequestHardening:
 
     @staticmethod
     def raw_request(base, headers, body=b""):
-        """POST /encode with hand-rolled headers (http.client would insert
-        a correct Content-Length, which is exactly what these tests must
-        be able to omit or corrupt)."""
         host, port = base.removeprefix("http://").split(":")
-        connection = http.client.HTTPConnection(host, int(port), timeout=10)
-        try:
-            connection.putrequest("POST", "/encode", skip_accept_encoding=True)
-            for name, value in headers.items():
-                connection.putheader(name, value)
-            connection.endheaders()
-            if body:
-                connection.send(body)
-            response = connection.getresponse()
-            return response.status, json.loads(response.read())
-        finally:
-            connection.close()
+        return raw_post((host, int(port)), "/encode", headers, body)
 
     def test_oversized_content_length_is_413(self, server_stack):
         from repro.serving.http import MAX_BODY_BYTES
@@ -338,6 +344,21 @@ class TestRequestHardening:
         assert payload["model"] == "ir"
 
 
+def keep_alive_seconds(address, method, route, body=None) -> float:
+    """Seconds taken by 20 back-to-back requests on one connection."""
+    connection = http.client.HTTPConnection(*address, timeout=10)
+    try:
+        start = time.perf_counter()
+        for _ in range(20):
+            connection.request(method, route, body=body)
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+        return time.perf_counter() - start
+    finally:
+        connection.close()
+
+
 class TestKeepAlive:
     """Back-to-back requests on one keep-alive connection must not stall.
 
@@ -354,18 +375,19 @@ class TestKeepAlive:
             method = "POST"
             body = json.dumps({"model": "ir", "data": data[:3].tolist()})
         host, port = base.removeprefix("http://").split(":")
-        connection = http.client.HTTPConnection(host, int(port), timeout=10)
-        try:
-            start = time.perf_counter()
-            for _ in range(20):
-                connection.request(method, route, body=body)
-                response = connection.getresponse()
-                response.read()
-                assert response.status == 200
-            elapsed = time.perf_counter() - start
-        finally:
-            connection.close()
+        elapsed = keep_alive_seconds((host, int(port)), method, route, body)
         assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.2f}s"
+
+    def test_connection_close_is_honoured(self, server_stack):
+        _, _, _, base = server_stack
+        host, port = base.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(HEALTHZ_THEN_CLOSE)
+            with sock.makefile("rb") as stream:
+                response = stream.read()  # returns once the server closes
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(body) == {"status": "ok", "models": ["ir"]}
 
 
 HEALTHZ_THEN_CLOSE = (
@@ -433,3 +455,85 @@ class TestConnectBurst:
             thread.join(timeout=5)
         assert not thread.is_alive()
         assert collections.Counter(outcomes) == {"200": self.N_CONNECTIONS}
+
+
+@pytest.fixture(params=["coordinator", "standby"])
+def distributed_server(request):
+    """A running grid coordinator or standby worker, with one of its POST
+    routes that reads a JSON body; yields ``((host, port), route)``."""
+    if request.param == "coordinator":
+        rng = np.random.default_rng(0)
+        dataset = Dataset(
+            name="Iris", abbreviation="IR", data=rng.standard_normal((6, 3)),
+            labels=rng.integers(0, 2, size=6), metadata={},
+        )
+        cells = [{"cell_id": "0:0", "dataset_ref": "IR", "algorithm": "DP",
+                  "label": "DP", "repeat": 0}]
+        coordinator = GridCoordinator(cells, {"IR": dataset}, {}).start()
+        yield coordinator.address, "/worker/heartbeat"
+        coordinator.stop()
+        return
+    server = _StandbyServer(("127.0.0.1", 0))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address[:2], "/join"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+class TestDistributedServers:
+    """The grid coordinator and standby workers run on the same request
+    handler base as the encoding server: the same framing rules, and no
+    delayed-ACK stall on keep-alive connections."""
+
+    def test_keep_alive_requests_do_not_stall(self, distributed_server):
+        address, _ = distributed_server
+        elapsed = keep_alive_seconds(address, "GET", "/healthz")
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize(
+        "headers, body, message",
+        [
+            ({}, b"", "Content-Length"),
+            ({"Content-Length": "-5"}, b"", "Content-Length"),
+            ({"Content-Length": "0"}, b"", "JSON body"),
+            ({"Content-Length": "6"}, b"[1, 2]", "JSON object"),
+        ],
+        ids=["missing-length", "negative-length", "empty", "not-an-object"],
+    )
+    def test_bad_request_is_400(self, distributed_server, headers, body, message):
+        address, route = distributed_server
+        status, payload = raw_post(address, route, headers, body)
+        assert status == 400
+        assert message in payload["error"]
+
+    def test_oversized_body_is_413_and_closes(self, distributed_server):
+        from repro.serving.wire import MAX_BODY_BYTES
+
+        (host, port), route = distributed_server
+        head = (
+            f"POST {route} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(head.encode("latin-1"))
+            with sock.makefile("rb") as stream:
+                response = stream.read()  # returns once the server closes
+        assert response.startswith(b"HTTP/1.1 413")
+        assert b"exceeds" in response
+
+    def test_invalid_json_keeps_the_connection_usable(self, distributed_server):
+        address, route = distributed_server
+        connection = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            connection.request("POST", route, body=b"not json")
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "not valid JSON" in json.loads(response.read())["error"]
+            connection.request("GET", "/healthz")
+            followup = connection.getresponse()
+            followup.read()
+            assert followup.status == 200
+        finally:
+            connection.close()

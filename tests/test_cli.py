@@ -320,6 +320,27 @@ class TestServeScaleOut:
         assert code == 1
         assert "twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--async", "--executor-threads=4"])
+    def test_asyncio_front_end_flags_are_gone(self, artifact, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--artifact", f"ir={artifact}", flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_import_does_not_load_asyncio(self):
+        # The threaded stdlib server is the only front end, so nothing on
+        # the package's import path needs an event loop.
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run(
+            [sys.executable, "-c",
+             "import repro, sys; assert 'asyncio' not in sys.modules"],
+            check=True, env=env, timeout=60,
+        )
+
 
 class TestInfo:
     def test_summary(self, artifact, capsys):
