@@ -113,6 +113,8 @@ class TestAdmissionGate:
             server.gateway.release_request()
             server.gateway.release_request()
         post(base, {"model": "ir", "data": data[:3].tolist()})
+        # The slot is released just after the response is written.
+        assert server.gateway.admission.wait_idle(timeout=5.0)
         with urllib.request.urlopen(base + "/stats", timeout=10) as response:
             stats = json.load(response)
         admission = stats["admission"]
@@ -159,6 +161,9 @@ class TestDeadlineBudget:
         assert "Retry-After" in headers
         assert "deadline" in body["error"]
         assert server.gateway.admission.as_dict()["n_deadline_shed"] >= 1
+        # The handler releases its slot right after writing the response,
+        # so the client may read the 503 a moment before the release.
+        assert server.gateway.admission.wait_idle(timeout=5.0)
         assert server.gateway.admission.as_dict()["in_flight"] == 0
 
     def test_generous_budget_computes_normally(self, gated_stack):
