@@ -514,13 +514,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        print("shutting down")
+        print("shutting down", flush=True)
     finally:
         signal.signal(signal.SIGTERM, previous)
-        # serve_forever has already exited; release the socket, then
-        # close the backend (fuser flush / shard-pool teardown).
+        # serve_forever has already exited.  Close the listening socket so
+        # new connections are refused, then drain the admitted requests
+        # and close the backend (fuser flush / shard-pool teardown).
         server.server_close()
-        server.gateway.close()
+        server.shutdown()
     return 0
 
 

@@ -14,6 +14,7 @@ Routes (all JSON; the plumbing is :mod:`repro.serving.wire`)
 ``POST /cell/lease``       ``{worker_id}`` →
     ``{"cell": {...}}``, ``{"idle": true}`` (nothing pending right now) or
     ``{"stop": true}`` (grid finished, failed or draining — disconnect).
+    A lease the worker still holds is re-queued first: its grant was lost.
 ``POST /cell/result``      ``{worker_id, cell_id, outcome}`` →
     ``{"accepted": bool}`` (false: a duplicate of an already-merged cell).
 ``POST /cell/error``       ``{worker_id, cell_id, kind, error}`` →
@@ -22,9 +23,7 @@ Routes (all JSON; the plumbing is :mod:`repro.serving.wire`)
     backoff up to ``max_cell_retries``; deterministic ones — or transient
     ones past the retry budget — abort the grid (they would fail on every
     retry).
-``POST /worker/heartbeat`` ``{worker_id, cell_ids}`` → renews the leases
-    of the cells the worker is computing (all its leases when ``cell_ids``
-    is absent); a lease whose grant never reached the worker then expires.
+``POST /worker/heartbeat`` ``{worker_id}`` → renews the worker's leases.
 ``POST /worker/bye``       ``{worker_id}`` → releases its leases instantly.
 ``GET  /dataset/<abbr>``   → the dataset matrix (workers cache it per grid,
     verifying its sha256 digest before trusting the copy).
@@ -456,10 +455,7 @@ class GridCoordinator:
         worker_id = str(request.get("worker_id") or "")
         if not worker_id:
             raise ValidationError("heartbeat requires a worker_id")
-        cell_ids = request.get("cell_ids")
-        if cell_ids is not None and not isinstance(cell_ids, list):
-            raise ValidationError("heartbeat cell_ids must be a list")
-        renewed = self.queue.heartbeat(worker_id, cell_ids)
+        renewed = self.queue.heartbeat(worker_id)
         return {
             "renewed": renewed,
             "stop": self._draining or self._failure is not None or self.queue.done,

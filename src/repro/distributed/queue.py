@@ -121,40 +121,51 @@ class LeaseQueue:
             del self._delayed[cell_id]
             self._pending.appendleft(cell_id)
 
+    def _release_locked(self, worker_id: str) -> int:
+        """Return every lease of ``worker_id`` to the front of the queue."""
+        released = [
+            lease.cell_id
+            for lease in self._leases.values()
+            if lease.worker_id == worker_id
+        ]
+        for cell_id in reversed(released):
+            del self._leases[cell_id]
+            self._pending.appendleft(cell_id)
+            self.n_requeued += 1
+        return len(released)
+
     # ------------------------------------------------------------------- API
     def lease(self, worker_id: str) -> str | None:
-        """Hand the next pending cell to ``worker_id`` (None when empty)."""
+        """Hand the next pending cell to ``worker_id`` (None when empty).
+
+        A worker computes one cell at a time, so a lease it still holds was
+        granted by a response it never received (a retried or duplicated
+        request); its heartbeats would keep that lease alive for good, so
+        the cell goes back to the front of the queue first.
+        """
+        worker_id = str(worker_id)
         with self._lock:
             self._expire_overdue_locked()
             self._promote_ready_locked()
+            self._release_locked(worker_id)
             if not self._pending:
                 return None
             cell_id = self._pending.popleft()
             self._leases[cell_id] = CellLease(
                 cell_id=cell_id,
-                worker_id=str(worker_id),
+                worker_id=worker_id,
                 deadline=self._clock() + self.lease_timeout,
             )
             return cell_id
 
-    def heartbeat(self, worker_id: str, cell_ids=None) -> int:
-        """Renew the leases held by ``worker_id``; returns how many.
-
-        ``cell_ids`` names the cells the worker is computing (``None``: all
-        of its leases).  Any other lease of the worker was granted by an
-        exchange whose response never reached it, so nobody computes that
-        cell; renewing it would keep the cell out of the queue for good.
-        """
+    def heartbeat(self, worker_id: str) -> int:
+        """Renew every lease held by ``worker_id``; returns how many."""
         worker_id = str(worker_id)
-        if cell_ids is not None:
-            cell_ids = {str(cell_id) for cell_id in cell_ids}
         with self._lock:
             deadline = self._clock() + self.lease_timeout
             renewed = 0
             for lease in self._leases.values():
-                if lease.worker_id == worker_id and (
-                    cell_ids is None or lease.cell_id in cell_ids
-                ):
+                if lease.worker_id == worker_id:
                     lease.deadline = deadline
                     renewed += 1
             return renewed
@@ -215,18 +226,8 @@ class LeaseQueue:
 
     def release(self, worker_id: str) -> int:
         """Return every lease of a departing worker to the queue now."""
-        worker_id = str(worker_id)
         with self._lock:
-            released = [
-                lease.cell_id
-                for lease in self._leases.values()
-                if lease.worker_id == worker_id
-            ]
-            for cell_id in reversed(released):
-                del self._leases[cell_id]
-                self._pending.appendleft(cell_id)
-                self.n_requeued += 1
-            return len(released)
+            return self._release_locked(str(worker_id))
 
     def expire_overdue(self) -> list[str]:
         """Re-queue overdue leases; returns the affected cell ids."""

@@ -11,10 +11,8 @@ GridCoordinator`.  Two modes share one pull loop:
   grid, then returns to standby for the next one.
 
 The pull loop is where the fault-tolerance contract is honoured from the
-worker side: a background thread heartbeats the cell in flight at a
-fraction of the lease timeout, so only a *dead* worker ever lets the lease
-of a cell it is computing lapse (a lease granted by a lease exchange whose
-response was lost lapses too, and its cell is re-queued); transport failures
+worker side: a background thread heartbeats at a fraction of the lease
+timeout so only a *dead* worker ever lets a lease lapse; transport failures
 reconnect with capped exponential backoff; SIGTERM/SIGINT finish the cell
 in flight, say goodbye (releasing leases instantly) and exit 0.
 
@@ -131,8 +129,6 @@ class WorkerClient:
         self._heartbeat_interval = 1.0
         self._datasets: dict[str, object] = {}
         self._supervision_cache: dict = {}
-        #: The cell being computed or reported (the one lease to renew).
-        self._cell_id: str | None = None
         self.n_cells_done = 0
         self.n_cells_failed = 0
 
@@ -200,17 +196,13 @@ class WorkerClient:
     # ------------------------------------------------------------- heartbeat
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self._heartbeat_interval):
-            cell_id = self._cell_id
             try:
                 request_json(
                     self.host,
                     self.port,
                     "POST",
                     "/worker/heartbeat",
-                    {
-                        "worker_id": self.worker_id,
-                        "cell_ids": [] if cell_id is None else [cell_id],
-                    },
+                    {"worker_id": self.worker_id},
                     timeout=10.0,
                     secret=self.secret,
                 )
@@ -319,13 +311,8 @@ class WorkerClient:
                     # remaining leases; poll again shortly.
                     self._stop.wait(self.poll_interval)
                     continue
-                cell = cell_from_wire(cell_payload)
-                self._cell_id = cell["cell_id"]
-                try:
-                    if self._execute(cell):
-                        break
-                finally:
-                    self._cell_id = None
+                if self._execute(cell_from_wire(cell_payload)):
+                    break
         finally:
             self._stop.set()
             heartbeat.join(timeout=2)

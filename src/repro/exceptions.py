@@ -54,7 +54,7 @@ class ServingError(ReproError, RuntimeError):
 
 class DeadlineExceededError(ReproError):
     """A request's ``deadline_ms`` budget ran out before compute could
-    start; the serving front ends map it to 503 + ``Retry-After`` (the
+    start; the serving front end maps it to 503 + ``Retry-After`` (the
     client should shed load or retry with a fresh budget).
 
     Deliberately *not* a :class:`ServingError` subclass: the HTTP layer

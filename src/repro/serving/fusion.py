@@ -57,7 +57,7 @@ class FuserClosedError(ServingError):
     """A request was submitted to a :class:`BatchFuser` after ``close()``.
 
     Raised instead of silently parking the request in a lane nobody will
-    flush again; the HTTP front ends map it to 503 + ``Retry-After`` (the
+    flush again; the HTTP front end maps it to 503 + ``Retry-After`` (the
     server is shutting down — a replica behind a load balancer should
     receive no further traffic)."""
 

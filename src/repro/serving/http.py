@@ -401,8 +401,6 @@ class EncodingHTTPServer(JsonHTTPServer):
         elif service is not None or fuser is not None:
             raise ValidationError("pass either a gateway or a service, not both")
         self.gateway = gateway
-        self.service = service
-        self.fuser = fuser
         self.verbose = verbose
         self.auth_secret = str(secret) if secret else None
         self._shutdown_lock = threading.Lock()

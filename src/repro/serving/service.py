@@ -563,7 +563,7 @@ class EncodingService:
         The registry is snapshotted under the service lock, so a concurrent
         register/unregister can never be observed mid-mutation; the
         per-runtime fields read afterwards are immutable once a runtime is
-        registered.  This is the accessor the HTTP front ends' ``/models``
+        registered.  This is the accessor the HTTP front end's ``/models``
         route must use — iterating ``self._models`` without the lock races
         re-registration.
         """

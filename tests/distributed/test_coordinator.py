@@ -142,10 +142,11 @@ class TestRegistration:
 class TestLeaseResultFlow:
     def test_full_grid_lifecycle(self, coordinator):
         register(coordinator)
+        workers = ["w1", "w2"]
         leased = []
-        for _ in range(2):
+        for worker_id in workers:
             status, body = call(
-                coordinator, "POST", "/cell/lease", {"worker_id": "w1"}
+                coordinator, "POST", "/cell/lease", {"worker_id": worker_id}
             )
             assert status == 200 and body["stop"] is False
             leased.append(body["cell"]["cell_id"])
@@ -153,16 +154,16 @@ class TestLeaseResultFlow:
 
         # Everything leased out: an idle poll, not a stop.
         status, body = call(
-            coordinator, "POST", "/cell/lease", {"worker_id": "w2"}
+            coordinator, "POST", "/cell/lease", {"worker_id": "w3"}
         )
         assert body == {"stop": False, "idle": True}
 
-        for index, cell_id in enumerate(leased):
+        for index, (worker_id, cell_id) in enumerate(zip(workers, leased)):
             status, body = call(
                 coordinator,
                 "POST",
                 "/cell/result",
-                {"worker_id": "w1", "cell_id": cell_id, "outcome": OUTCOME},
+                {"worker_id": worker_id, "cell_id": cell_id, "outcome": OUTCOME},
             )
             assert status == 200
             assert body["accepted"] is True
@@ -271,24 +272,6 @@ class TestHeartbeatAndBye:
         )
         assert status == 200
         assert body == {"renewed": 1, "stop": False}
-
-    def test_heartbeat_renews_only_the_cells_in_flight(self, coordinator):
-        call(coordinator, "POST", "/cell/lease", {"worker_id": "w1"})
-        call(coordinator, "POST", "/cell/lease", {"worker_id": "w1"})
-        status, body = call(
-            coordinator, "POST", "/worker/heartbeat",
-            {"worker_id": "w1", "cell_ids": ["0:1"]},
-        )
-        assert status == 200
-        assert body == {"renewed": 1, "stop": False}
-
-    def test_heartbeat_cell_ids_must_be_a_list(self, coordinator):
-        status, body = call(
-            coordinator, "POST", "/worker/heartbeat",
-            {"worker_id": "w1", "cell_ids": "0:0"},
-        )
-        assert status == 400
-        assert "cell_ids" in body["error"]
 
     def test_bye_releases_leases(self, coordinator):
         call(coordinator, "POST", "/cell/lease", {"worker_id": "w1"})

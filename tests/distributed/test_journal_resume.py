@@ -10,9 +10,6 @@ Three layers of the same guarantee:
 * chaos (slow) — a full distributed grid runs behind a seeded
   :class:`FaultProxy` injecting 500s, drops, resets and duplicates, with
   the journal armed, and still merges bit-identically.
-
-A fourth test replays the chaos grid's worst fault by script: a duplicated
-lease request whose second grant the worker never sees.
 """
 
 from __future__ import annotations
@@ -34,12 +31,8 @@ from repro.distributed import GridCoordinator
 from repro.distributed.worker import WorkerClient
 from repro.exceptions import ValidationError
 from repro.experiments.runner import ExperimentRunner
-from repro.resilience import (
-    FaultProxy,
-    FaultSchedule,
-    JournalError,
-    ScriptedSchedule,
-)
+from repro.resilience import FaultProxy, FaultSchedule, JournalError
+from repro.resilience.faults import ScriptedSchedule
 
 SETTINGS = {
     "n_hidden": 4,
@@ -321,10 +314,11 @@ class TestChaosGrid:
 
 class TestLostLeaseGrant:
     def test_grant_the_worker_never_saw_is_requeued(self):
-        """A lease request relayed twice grants two cells, but the worker
-        only hears of the first.  Its heartbeats name the cell it computes,
-        so the orphaned lease expires and the grid still finishes; renewing
-        every lease of the worker kept the orphan alive forever."""
+        """A lease request relayed twice reaches the coordinator twice, but
+        the worker only hears the first answer.  The second request finds
+        the first grant still held by the worker and hands the same cell
+        out again; granting a second cell left an orphan that the worker's
+        heartbeats kept alive forever, so the grid never finished."""
         dataset = list(load_uci_suite(scale=0.25, random_state=0))[0]
         cells = [
             {"cell_id": f"0:{repeat}", "dataset_ref": dataset.abbreviation,
@@ -333,8 +327,7 @@ class TestLostLeaseGrant:
         ]
         settings = ExperimentRunner(("DP",), random_state=0)._settings()
         coordinator = GridCoordinator(
-            cells, {dataset.abbreviation: dataset}, settings,
-            lease_timeout=1.0,
+            cells, {dataset.abbreviation: dataset}, settings
         ).start()
         # Request 1 registers; request 2 is the first lease, sent twice.
         schedule = ScriptedSchedule(["relay", "duplicate"])
@@ -351,4 +344,5 @@ class TestLostLeaseGrant:
             coordinator.stop()
         assert schedule.log[1] == ("/cell/lease", "duplicate")
         assert set(results) == {"0:0", "0:1"}
-        assert coordinator.queue.counters()["n_expired_leases"] == 1
+        counters = coordinator.queue.counters()
+        assert (counters["n_requeued"], counters["n_expired_leases"]) == (1, 0)

@@ -114,10 +114,10 @@ class TestTransientRetry:
         # The cell sits in the backoff pen: the next lease hands out the
         # *other* cell, then goes idle.
         assert lease(coordinator)["cell"]["cell_id"] == "0:1"
-        assert lease(coordinator) == {"stop": False, "idle": True}
+        assert lease(coordinator, "w2") == {"stop": False, "idle": True}
         # Backoff elapses -> the failed cell is leased again.
         clock.advance(0.6)
-        assert lease(coordinator)["cell"]["cell_id"] == "0:0"
+        assert lease(coordinator, "w2")["cell"]["cell_id"] == "0:0"
 
     def test_retried_cell_can_still_complete(self, make_coord):
         clock = FakeClock()
@@ -207,12 +207,12 @@ class TestQuarantine:
             retry_backoff=0.0,
         )
         lease(coordinator, "w1")  # 0:0
-        lease(coordinator, "w1")  # 0:1 — still held when the breaker trips
         fail(coordinator, "0:0", "w1")
-        lease(coordinator, "w1")  # 0:0 again
+        lease(coordinator, "w1")  # 0:0 again, still held when the breaker trips
         fail(coordinator, "0:0", "w1")  # trip: every w1 lease is released
         assert coordinator.queue.n_leased == 0
-        leased = {lease(coordinator, "w2")["cell"]["cell_id"] for _ in range(3)}
+        workers = ("w2", "w3", "w4")
+        leased = {lease(coordinator, w)["cell"]["cell_id"] for w in workers}
         assert leased == {"0:0", "0:1", "0:2"}
 
     def test_success_resets_the_strike_count(self, make_coord):

@@ -114,9 +114,8 @@ class TestWorkerLoss:
                 state["n_granted"] += 1
                 # Killing the worker this third cell is granted to *before
                 # the response is delivered* guarantees a lease dies with
-                # it — the cell must come back via expiry.  (Killing some
-                # other worker could catch it between two cells, holding
-                # nothing.)  Loopback worker ids are hostname-pid-suffix.
+                # it (another worker may hold none); the cell must come
+                # back via expiry.  Worker ids are hostname-pid-suffix.
                 if state["n_granted"] == 3 and not state["killed"]:
                     state["killed"] = True
                     pid = int(request["worker_id"].rsplit("-", 2)[1])

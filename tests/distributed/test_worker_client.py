@@ -134,32 +134,6 @@ class TestHeartbeatGuard:
         thread.join(timeout=2)
         assert len(attempts) >= 4
 
-    @pytest.mark.parametrize(
-        "cell_id, expected", [("0:1", ["0:1"]), (None, [])], ids=["busy", "idle"]
-    )
-    def test_heartbeat_names_the_cell_in_flight(
-        self, monkeypatch, cell_id, expected
-    ):
-        calls = []
-        monkeypatch.setattr(
-            worker_module, "request_json",
-            scripted([(200, {"renewed": 1})], calls),
-        )
-        client = WorkerClient("127.0.0.1", 1, worker_id="w-test")
-        client._heartbeat_interval = 0.01
-        client._cell_id = cell_id
-        thread = threading.Thread(target=client._heartbeat_loop, daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 5.0
-        while not calls and time.monotonic() < deadline:
-            time.sleep(0.01)
-        client.stop()
-        thread.join(timeout=2)
-        assert calls[0]["path"] == "/worker/heartbeat"
-        assert calls[0]["payload"] == {
-            "worker_id": "w-test", "cell_ids": expected,
-        }
-
     def test_stop_ends_the_loop(self, monkeypatch):
         monkeypatch.setattr(
             worker_module, "request_json",

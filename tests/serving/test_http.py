@@ -18,10 +18,8 @@ import pytest
 
 from repro.core.config import FrameworkConfig
 from repro.core.framework import SelfLearningEncodingFramework
-from repro.datasets.base import Dataset
 from repro.datasets.synthetic import make_overlapping_binary_clusters
 from repro.distributed import GridCoordinator
-from repro.distributed.coordinator import _CoordinatorHTTPServer
 from repro.distributed.worker import _StandbyServer
 from repro.serving import BatchFuser, EncodingService
 from repro.serving.http import EncodingHTTPServer, build_server
@@ -56,6 +54,39 @@ def server_stack(fitted):
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
     yield service, framework, data, base
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _coordinator_server(address):
+    cell = {"cell_id": "0:0", "dataset_ref": "IR", "algorithm": "DP",
+            "label": "DP", "repeat": 0}
+    host, port = address
+    coordinator = GridCoordinator([cell], {"IR": None}, {}, host=host, port=port)
+    return coordinator._server
+
+
+#: Every threaded server in the repo, with a POST route that reads a JSON
+#: body: all of them run on ``wire.JsonHTTPServer``/``JsonRequestHandler``.
+WIRE_SERVERS = {
+    "encoding": (
+        lambda address: EncodingHTTPServer(address, EncodingService()),
+        "/encode",
+    ),
+    "coordinator": (_coordinator_server, "/worker/heartbeat"),
+    "standby": (_StandbyServer, "/join"),
+}
+
+
+@pytest.fixture(params=list(WIRE_SERVERS))
+def wire_server(request):
+    """One of :data:`WIRE_SERVERS`, running; yields ``(address, route)``."""
+    make_server, route = WIRE_SERVERS[request.param]
+    server = make_server(("127.0.0.1", 0))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address[:2], route
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
@@ -273,50 +304,62 @@ class TestWithoutFusion:
 
 
 class TestRequestHardening:
-    """Malformed framing must get an error response, never a hung thread."""
+    """Malformed framing must get an error response, never a hung thread.
 
-    @staticmethod
-    def raw_request(base, headers, body=b""):
-        host, port = base.removeprefix("http://").split(":")
-        return raw_post((host, int(port)), "/encode", headers, body)
+    The body rules live in the request handler base every server shares,
+    so the framing tests run against each of them.
+    """
 
-    def test_oversized_content_length_is_413(self, server_stack):
-        from repro.serving.http import MAX_BODY_BYTES
+    @pytest.mark.parametrize(
+        "headers, body, message",
+        [
+            ({}, b"", "Content-Length"),
+            ({"Content-Length": "not-a-number"}, b"", "Content-Length"),
+            ({"Content-Length": "-5"}, b"", "Content-Length"),
+            ({"Content-Length": "1e6"}, b"", "Content-Length"),
+            ({"Content-Length": "0"}, b"", "JSON body"),
+            ({"Content-Length": "6"}, b"[1, 2]", "JSON object"),
+        ],
+        ids=["missing-length", "non-numeric-length", "negative-length",
+             "float-length", "empty", "not-an-object"],
+    )
+    def test_bad_request_is_400(self, wire_server, headers, body, message):
+        address, route = wire_server
+        status, payload = raw_post(address, route, headers, body)
+        assert status == 400
+        assert message in payload["error"]
 
-        _, _, _, base = server_stack
-        host, port = base.removeprefix("http://").split(":")
-        # The server must reject from the header alone — this request never
-        # sends (nor could it) the advertised 64 MiB body — and then close
-        # the connection, whose unread body would desync keep-alive.
+    def test_oversized_body_is_413_and_closes(self, wire_server):
+        from repro.serving.wire import MAX_BODY_BYTES
+
+        address, route = wire_server
+        # Rejected from the header alone; the unread body would desync a
+        # keep-alive connection, so the server closes it.
         head = (
-            "POST /encode HTTP/1.1\r\nHost: test\r\n"
+            f"POST {route} HTTP/1.1\r\nHost: test\r\n"
             f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
         )
-        with socket.create_connection((host, int(port)), timeout=10) as sock:
+        with socket.create_connection(address, timeout=10) as sock:
             sock.sendall(head.encode("latin-1"))
             with sock.makefile("rb") as stream:
                 response = stream.read()  # returns once the server closes
         assert response.startswith(b"HTTP/1.1 413")
         assert b"exceeds" in response
 
-    def test_missing_content_length_is_400(self, server_stack):
-        _, _, _, base = server_stack
-        status, payload = self.raw_request(base, {})
-        assert status == 400
-        assert "Content-Length" in payload["error"]
-
-    @pytest.mark.parametrize("value", ["not-a-number", "-5", "1e6"])
-    def test_invalid_content_length_is_400(self, server_stack, value):
-        _, _, _, base = server_stack
-        status, payload = self.raw_request(base, {"Content-Length": value})
-        assert status == 400
-        assert "Content-Length" in payload["error"]
-
-    def test_zero_content_length_is_400(self, server_stack):
-        _, _, _, base = server_stack
-        status, payload = self.raw_request(base, {"Content-Length": "0"})
-        assert status == 400
-        assert "body" in payload["error"]
+    def test_invalid_json_keeps_the_connection_usable(self, wire_server):
+        address, route = wire_server
+        connection = http.client.HTTPConnection(*address, timeout=10)
+        try:
+            connection.request("POST", route, body=b"not json")
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "not valid JSON" in json.loads(response.read())["error"]
+            connection.request("GET", "/healthz")
+            followup = connection.getresponse()
+            followup.read()
+            assert followup.status == 200
+        finally:
+            connection.close()
 
     def test_oversized_post_to_unknown_route_is_404_not_hang(self, server_stack):
         from repro.serving.http import MAX_BODY_BYTES
@@ -337,7 +380,8 @@ class TestRequestHardening:
 
     def test_server_stays_responsive_after_rejections(self, server_stack):
         _, _, data, base = server_stack
-        self.raw_request(base, {"Content-Length": "garbage"})
+        host, port = base.removeprefix("http://").split(":")
+        raw_post((host, int(port)), "/encode", {"Content-Length": "garbage"})
         payload = post_json(
             base + "/encode", {"model": "ir", "data": data[:2].tolist()}
         )
@@ -367,27 +411,17 @@ class TestKeepAlive:
     about 40 ms per request: 20 requests took 0.84–0.92 s.
     """
 
-    @pytest.mark.parametrize("route", ["/healthz", "/encode"])
-    def test_twenty_requests_on_one_connection(self, server_stack, route):
-        _, _, data, base = server_stack
-        method, body = "GET", None
-        if route == "/encode":
-            method = "POST"
-            body = json.dumps({"model": "ir", "data": data[:3].tolist()})
-        host, port = base.removeprefix("http://").split(":")
-        elapsed = keep_alive_seconds((host, int(port)), method, route, body)
+    def test_twenty_requests_on_one_connection(self, wire_server):
+        address, _ = wire_server
+        elapsed = keep_alive_seconds(address, "GET", "/healthz")
         assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.2f}s"
 
-    def test_connection_close_is_honoured(self, server_stack):
-        _, _, _, base = server_stack
+    def test_twenty_encode_requests_on_one_connection(self, server_stack):
+        _, _, data, base = server_stack
+        body = json.dumps({"model": "ir", "data": data[:3].tolist()})
         host, port = base.removeprefix("http://").split(":")
-        with socket.create_connection((host, int(port)), timeout=10) as sock:
-            sock.sendall(HEALTHZ_THEN_CLOSE)
-            with sock.makefile("rb") as stream:
-                response = stream.read()  # returns once the server closes
-        head, _, body = response.partition(b"\r\n\r\n")
-        assert head.startswith(b"HTTP/1.1 200")
-        assert json.loads(body) == {"status": "ok", "models": ["ir"]}
+        elapsed = keep_alive_seconds((host, int(port)), "POST", "/encode", body)
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.2f}s"
 
 
 HEALTHZ_THEN_CLOSE = (
@@ -416,30 +450,14 @@ class TestConnectBurst:
 
     N_CONNECTIONS = 120
 
-    @pytest.mark.parametrize(
-        "make_server",
-        [
-            pytest.param(
-                lambda address: EncodingHTTPServer(address, EncodingService()),
-                id="encoding",
-            ),
-            pytest.param(
-                lambda address: _CoordinatorHTTPServer(address, None, False),
-                id="coordinator",
-            ),
-            pytest.param(_StandbyServer, id="standby"),
-        ],
-    )
-    def test_every_connection_is_answered(self, make_server):
-        server = make_server(("127.0.0.1", 0))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+    def test_every_connection_is_answered(self, wire_server):
+        address, _ = wire_server
         sockets = [socket.socket() for _ in range(self.N_CONNECTIONS)]
         try:
             for sock in sockets:
                 # Non-blocking: every SYN is out before the first accept.
                 sock.setblocking(False)
-                sock.connect_ex(server.server_address[:2])
+                sock.connect_ex(address)
             deadline = time.monotonic() + 10.0
             for sock in sockets:
                 sock.settimeout(max(deadline - time.monotonic(), 0.01))
@@ -450,90 +468,4 @@ class TestConnectBurst:
         finally:
             for sock in sockets:
                 sock.close()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-        assert not thread.is_alive()
         assert collections.Counter(outcomes) == {"200": self.N_CONNECTIONS}
-
-
-@pytest.fixture(params=["coordinator", "standby"])
-def distributed_server(request):
-    """A running grid coordinator or standby worker, with one of its POST
-    routes that reads a JSON body; yields ``((host, port), route)``."""
-    if request.param == "coordinator":
-        rng = np.random.default_rng(0)
-        dataset = Dataset(
-            name="Iris", abbreviation="IR", data=rng.standard_normal((6, 3)),
-            labels=rng.integers(0, 2, size=6), metadata={},
-        )
-        cells = [{"cell_id": "0:0", "dataset_ref": "IR", "algorithm": "DP",
-                  "label": "DP", "repeat": 0}]
-        coordinator = GridCoordinator(cells, {"IR": dataset}, {}).start()
-        yield coordinator.address, "/worker/heartbeat"
-        coordinator.stop()
-        return
-    server = _StandbyServer(("127.0.0.1", 0))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server.server_address[:2], "/join"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-class TestDistributedServers:
-    """The grid coordinator and standby workers run on the same request
-    handler base as the encoding server: the same framing rules, and no
-    delayed-ACK stall on keep-alive connections."""
-
-    def test_keep_alive_requests_do_not_stall(self, distributed_server):
-        address, _ = distributed_server
-        elapsed = keep_alive_seconds(address, "GET", "/healthz")
-        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.2f}s"
-
-    @pytest.mark.parametrize(
-        "headers, body, message",
-        [
-            ({}, b"", "Content-Length"),
-            ({"Content-Length": "-5"}, b"", "Content-Length"),
-            ({"Content-Length": "0"}, b"", "JSON body"),
-            ({"Content-Length": "6"}, b"[1, 2]", "JSON object"),
-        ],
-        ids=["missing-length", "negative-length", "empty", "not-an-object"],
-    )
-    def test_bad_request_is_400(self, distributed_server, headers, body, message):
-        address, route = distributed_server
-        status, payload = raw_post(address, route, headers, body)
-        assert status == 400
-        assert message in payload["error"]
-
-    def test_oversized_body_is_413_and_closes(self, distributed_server):
-        from repro.serving.wire import MAX_BODY_BYTES
-
-        (host, port), route = distributed_server
-        head = (
-            f"POST {route} HTTP/1.1\r\nHost: test\r\n"
-            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
-        )
-        with socket.create_connection((host, port), timeout=10) as sock:
-            sock.sendall(head.encode("latin-1"))
-            with sock.makefile("rb") as stream:
-                response = stream.read()  # returns once the server closes
-        assert response.startswith(b"HTTP/1.1 413")
-        assert b"exceeds" in response
-
-    def test_invalid_json_keeps_the_connection_usable(self, distributed_server):
-        address, route = distributed_server
-        connection = http.client.HTTPConnection(*address, timeout=10)
-        try:
-            connection.request("POST", route, body=b"not json")
-            response = connection.getresponse()
-            assert response.status == 400
-            assert "not valid JSON" in json.loads(response.read())["error"]
-            connection.request("GET", "/healthz")
-            followup = connection.getresponse()
-            followup.read()
-            assert followup.status == 200
-        finally:
-            connection.close()

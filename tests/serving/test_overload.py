@@ -161,8 +161,7 @@ class TestDeadlineBudget:
         assert "Retry-After" in headers
         assert "deadline" in body["error"]
         assert server.gateway.admission.as_dict()["n_deadline_shed"] >= 1
-        # The handler releases its slot right after writing the response,
-        # so the client may read the 503 a moment before the release.
+        # The slot is released just after the response is written.
         assert server.gateway.admission.wait_idle(timeout=5.0)
         assert server.gateway.admission.as_dict()["in_flight"] == 0
 

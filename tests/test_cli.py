@@ -203,13 +203,21 @@ class TestBench:
         assert "benchmark report written" in capsys.readouterr().out
 
 
-class TestServe:
-    def test_serve_announces_and_runs(self, artifact, capsys, monkeypatch):
-        # serve_forever is stubbed out so the command builds the full stack,
-        # prints the banner and exits without blocking the test run.
-        from repro.serving.http import EncodingHTTPServer
+@pytest.fixture
+def no_accept_loop(monkeypatch):
+    """Stub out serve_forever so ``serve`` builds the full stack, prints the
+    banner and returns without blocking the test run; with no accept loop
+    running, shutdown() has none to stop before it drains."""
+    import socketserver
 
-        monkeypatch.setattr(EncodingHTTPServer, "serve_forever", lambda self: None)
+    from repro.serving.http import EncodingHTTPServer
+
+    monkeypatch.setattr(EncodingHTTPServer, "serve_forever", lambda self: None)
+    monkeypatch.setattr(socketserver.BaseServer, "shutdown", lambda self: None)
+
+
+class TestServe:
+    def test_serve_announces_and_runs(self, artifact, capsys, no_accept_loop):
         code = main([
             "serve", "--artifact", f"ir={artifact}", "--port", "0",
             "--max-batch-rows", "128", "--max-wait-ms", "3",
@@ -220,10 +228,7 @@ class TestServe:
         assert "max_batch_rows=128" in out
         assert "POST /encode" in out
 
-    def test_serve_without_fusion(self, artifact, capsys, monkeypatch):
-        from repro.serving.http import EncodingHTTPServer
-
-        monkeypatch.setattr(EncodingHTTPServer, "serve_forever", lambda self: None)
+    def test_serve_without_fusion(self, artifact, capsys, no_accept_loop):
         code = main([
             "serve", "--artifact", f"ir={artifact}", "--port", "0", "--no-fusion",
         ])
@@ -320,27 +325,6 @@ class TestServeScaleOut:
         assert code == 1
         assert "twice" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--async", "--executor-threads=4"])
-    def test_asyncio_front_end_flags_are_gone(self, artifact, capsys, flag):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--artifact", f"ir={artifact}", flag])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_import_does_not_load_asyncio(self):
-        # The threaded stdlib server is the only front end, so nothing on
-        # the package's import path needs an event loop.
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        subprocess.run(
-            [sys.executable, "-c",
-             "import repro, sys; assert 'asyncio' not in sys.modules"],
-            check=True, env=env, timeout=60,
-        )
-
 
 class TestInfo:
     def test_summary(self, artifact, capsys):
@@ -361,59 +345,105 @@ class TestInfo:
         assert manifest["spec"]["type"] == "framework"
 
 
-class TestServeSigterm:
-    def test_sigterm_drains_and_exits_zero(self, artifact):
-        """``repro serve`` under an orchestrator: SIGTERM must shut the
-        server down exactly like Ctrl-C — flush, say goodbye, exit 0."""
-        import os
-        import re
-        import signal
-        import subprocess
-        import sys
-        import time
-        import urllib.request
-        from pathlib import Path
+@pytest.fixture
+def serve_process(artifact):
+    """Start ``python -m repro serve`` on an ephemeral port; yields a
+    function taking extra flags and returning ``(process, port)``."""
+    import os
+    import re
+    import subprocess
+    import sys
+    from pathlib import Path
 
-        env = dict(os.environ)
-        src = str((Path(__file__).resolve().parents[1] / "src"))
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env = dict(os.environ)
+    src = str((Path(__file__).resolve().parents[1] / "src"))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    processes = []
+
+    def spawn(*flags):
         process = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve",
-             "--artifact", f"ir={artifact}", "--port", "0"],
+             "--artifact", f"ir={artifact}", "--port", "0", *flags],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
         )
-        try:
-            port = None
-            deadline = time.monotonic() + 30
-            lines = []
-            while time.monotonic() < deadline:
-                line = process.stdout.readline()
-                if not line:
-                    time.sleep(0.05)
-                    continue
-                lines.append(line)
-                match = re.search(r"on http://[\d.]+:(\d+)", line)
-                if match:
-                    port = int(match.group(1))
-                    break
-            assert port is not None, "server never announced: " + "".join(lines)
+        processes.append(process)
+        lines = []
+        for line in process.stdout:
+            lines.append(line)
+            match = re.search(r"on http://[\d.]+:(\d+)", line)
+            if match:
+                return process, int(match.group(1))
+        raise AssertionError("server never announced: " + "".join(lines))
 
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/healthz", timeout=10
-            ) as response:
-                assert response.status == 200
+    yield spawn
+    for process in processes:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)
 
-            process.send_signal(signal.SIGTERM)
-            remaining = process.communicate(timeout=30)[0]
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+
+class TestServeSigterm:
+    def test_sigterm_drains_and_exits_zero(self, serve_process):
+        """``repro serve`` under an orchestrator: SIGTERM must shut the
+        server down exactly like Ctrl-C — flush, say goodbye, exit 0."""
+        import signal
+        import urllib.request
+
+        process, port = serve_process()
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{port}/healthz", timeout=10
+        ) as response:
+            assert response.status == 200
+
+        process.send_signal(signal.SIGTERM)
+        remaining = process.communicate(timeout=30)[0]
         assert process.returncode == 0
         assert "shutting down" in remaining
+
+    @pytest.mark.parametrize(
+        "flags", [(), ("--shard-workers", "1")], ids=["local", "sharded"]
+    )
+    def test_sigterm_delivers_the_response_in_flight(self, serve_process, flags):
+        """A request admitted before SIGTERM still gets its 200: the server
+        drains it before closing the fuser or the shard pool and exiting.
+        Here the client holds the request open by sending its body late."""
+        import http.client
+        import json
+        import signal
+        import time
+        import urllib.request
+
+        process, port = serve_process(*flags)
+        data = load_uci_dataset("IR", scale=0.5, random_state=0).data[:4]
+        body = json.dumps({"model": "ir", "data": data.tolist()}).encode()
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        connection.putrequest("POST", "/encode")
+        connection.putheader("Content-Length", str(len(body)))
+        connection.endheaders(body[:10])
+
+        def in_flight() -> int:
+            url = f"http://127.0.0.1:{port}/stats"
+            with urllib.request.urlopen(url, timeout=10) as response:
+                return json.load(response)["admission"]["in_flight"]
+
+        deadline = time.monotonic() + 10
+        while in_flight() == 0:  # admitted once its handler reads the body
+            assert time.monotonic() < deadline, "request never admitted"
+            time.sleep(0.02)
+        process.send_signal(signal.SIGTERM)
+        for line in process.stdout:
+            if "shutting down" in line:
+                break
+        connection.send(body[10:])
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["shape"] == [4, 6]
+        connection.close()
+        process.communicate(timeout=30)
+        assert process.returncode == 0
 
 
 class TestWorkersFlag:
