@@ -11,8 +11,9 @@ Run standalone::
 
 The JSON report is the tracked perf trajectory: each section records the
 optimised kernel against the kept reference implementation
-(:mod:`repro.rbm.gradients_reference` and the legacy DensityPeaks replica),
-plus sequential-vs-``n_jobs`` runner wall-clock.
+(:mod:`repro.rbm.gradients_reference`, the legacy DensityPeaks replica and
+:mod:`repro.clustering.affinity_propagation_reference`), plus
+sequential-vs-``n_jobs`` runner wall-clock.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ every PR leaves a perf trajectory:
   fused kernels vs the reference kernels injected into the same code path;
 * ``density_peaks`` — chunked :class:`repro.clustering.DensityPeaks` vs the
   pre-optimisation full-matrix implementation (replicated below);
+* ``affinity_propagation`` — in-place :class:`repro.clustering.AffinityPropagation`
+  vs :mod:`repro.clustering.affinity_propagation_reference`;
 * ``runner_scaling`` — a small experiment grid run sequentially and with
   ``ExperimentRunner(n_jobs=...)``.
 
@@ -240,6 +242,42 @@ def bench_density_peaks(*, smoke: bool = False, repeats: int = 5) -> dict:
     }
 
 
+# ------------------------------------------------------- affinity propagation
+def bench_affinity_propagation(*, smoke: bool = False, repeats: int = 3) -> dict:
+    """In-place AP fit vs the reference, both tuning to ``target_n_clusters``."""
+    from repro.clustering.affinity_propagation import AffinityPropagation
+    from repro.clustering.affinity_propagation_reference import (
+        AffinityPropagationReference,
+    )
+    from repro.datasets.synthetic import make_high_dimensional_mixture
+
+    n_samples, n_features, n_clusters = (200, 50, 5) if smoke else (1000, 50, 5)
+    data, _ = make_high_dimensional_mixture(
+        n_samples, n_features, n_clusters, random_state=0
+    )
+    labels = {}
+
+    def fit(cls):
+        model = cls(target_n_clusters=n_clusters, random_state=0).fit(data)
+        labels[cls] = model.labels_
+
+    in_place = _best_of(lambda: fit(AffinityPropagation), repeats)
+    reference = _best_of(lambda: fit(AffinityPropagationReference), repeats)
+    return {
+        "n_samples": n_samples,
+        "n_features": n_features,
+        "n_clusters": n_clusters,
+        "vectorized_seconds": in_place,
+        "reference_seconds": reference,
+        "speedup": reference / in_place,
+        "labels_identical": bool(
+            np.array_equal(
+                labels[AffinityPropagation], labels[AffinityPropagationReference]
+            )
+        ),
+    }
+
+
 # ------------------------------------------------------------- runner scaling
 def bench_runner_scaling(*, smoke: bool = False, n_jobs: int = 4) -> dict:
     """2-dataset x 4-algorithm grid: sequential vs ``n_jobs`` process pool."""
@@ -340,6 +378,7 @@ def run_training_benchmarks(*, smoke: bool = False, n_jobs: int = 4) -> dict:
         "gradient_kernel": bench_gradient_kernel(smoke=smoke),
         "sls_epoch": bench_sls_epoch(smoke=smoke),
         "density_peaks": bench_density_peaks(smoke=smoke),
+        "affinity_propagation": bench_affinity_propagation(smoke=smoke),
         "runner_scaling": bench_runner_scaling(smoke=smoke, n_jobs=n_jobs),
         "distributed_scaling": bench_distributed_scaling(smoke=smoke),
     }
@@ -376,16 +415,18 @@ def format_summary(payload: dict) -> str:
         f"repro training benchmarks (smoke={payload['smoke']}, "
         f"cpu_count={payload['environment']['cpu_count']})"
     ]
-    for key in ("gradient_kernel", "sls_epoch", "density_peaks"):
+    for key in (
+        "gradient_kernel", "sls_epoch", "density_peaks", "affinity_propagation"
+    ):
         section = results[key]
         lines.append(
-            f"  {key:<16} {section['vectorized_seconds'] * 1e3:8.1f} ms vs "
+            f"  {key:<20} {section['vectorized_seconds'] * 1e3:8.1f} ms vs "
             f"{section['reference_seconds'] * 1e3:8.1f} ms reference "
             f"({section['speedup']:.2f}x)"
         )
     scaling = results["runner_scaling"]
     lines.append(
-        f"  runner_scaling   n_jobs={scaling['n_jobs']}: "
+        f"  runner_scaling       n_jobs={scaling['n_jobs']}: "
         f"{scaling['parallel_seconds']:.2f} s vs {scaling['sequential_seconds']:.2f} s "
         f"sequential ({scaling['parallel_over_sequential']:.2f}x wall-clock)"
     )
@@ -399,7 +440,7 @@ def format_summary(payload: dict) -> str:
             )
         )
         lines.append(
-            f"  distributed      loopback {per_count} vs "
+            f"  distributed          loopback {per_count} vs "
             f"{distributed['sequential_seconds']:.2f} s sequential"
         )
     return "\n".join(lines)

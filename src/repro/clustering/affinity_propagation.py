@@ -127,15 +127,14 @@ class AffinityPropagation(BaseClusterer):
         median_preference = float(np.median(off_diagonal))
 
         if self.target_n_clusters is not None:
-            preference = self._tune_preference(similarity, median_preference)
-        elif self.preference is not None:
-            preference = self.preference
+            preference, result = self._tune_preference(similarity, median_preference)
         else:
-            preference = median_preference
+            preference = (
+                median_preference if self.preference is None else self.preference
+            )
+            result = self._message_passing(similarity, preference)
 
-        labels, exemplars, n_iter, converged, final_damping = self._message_passing(
-            similarity, preference
-        )
+        labels, exemplars, n_iter, converged, final_damping = result
         self.preference_ = float(preference)
         self.labels_ = labels
         self.cluster_centers_indices_ = exemplars
@@ -157,30 +156,33 @@ class AffinityPropagation(BaseClusterer):
 
     def _tune_preference(
         self, similarity: np.ndarray, median_preference: float
-    ) -> float:
-        """Bisection search for a preference yielding ~target_n_clusters exemplars."""
+    ) -> tuple[float, tuple]:
+        """Bisection search for a preference yielding ~target_n_clusters exemplars.
+
+        Returns the chosen preference together with its message-passing
+        result, so the fit does not run message passing there a second time.
+        """
         target = self.target_n_clusters
         low = median_preference * 64.0 if median_preference < 0 else -64.0
         high = median_preference / 64.0 if median_preference < 0 else -1e-6
-        best_pref = median_preference
+        best = None
         best_gap = np.inf
         for _ in range(6):
             mid = 0.5 * (low + high)
-            labels, exemplars, _, _, _ = self._message_passing(similarity, mid)
-            n_found = exemplars.shape[0]
+            result = self._message_passing(similarity, mid)
+            n_found = result[1].shape[0]
             gap = abs(n_found - target)
             if gap < best_gap:
                 best_gap = gap
-                best_pref = mid
+                best = (mid, result)
             if gap == 0:
                 break
             if n_found > target:
                 # too many clusters: decrease (more negative) the preference
-                high = mid if mid < high else high
-                low, high = low, mid
+                high = mid
             else:
-                low, high = mid, high
-        return best_pref
+                low = mid
+        return best
 
     def _message_passing(
         self, similarity: np.ndarray, preference: float
@@ -191,6 +193,13 @@ class AffinityPropagation(BaseClusterer):
 
         responsibility = np.zeros_like(s)
         availability = np.zeros_like(s)
+        # Every n x n temporary lives in this one buffer.  Each in-place step
+        # below performs the same floating-point operations, in the same
+        # order, as the allocating loop kept in
+        # ``repro.clustering.affinity_propagation_reference``, so the messages
+        # (and hence labels, iteration counts and damping) are bit-identical.
+        scratch = np.empty_like(s)
+        diagonal = slice(None, None, n_samples + 1)  # flat indices of the diagonal
         exemplar_history = np.zeros((self.convergence_iter, n_samples), dtype=bool)
         converged = False
         iteration = 0
@@ -200,34 +209,33 @@ class AffinityPropagation(BaseClusterer):
         index = np.arange(n_samples)
         for iteration in range(1, self.max_iter + 1):
             # --- responsibilities -------------------------------------------------
-            combined = availability + s
-            first_max_idx = np.argmax(combined, axis=1)
-            first_max = combined[index, first_max_idx]
-            combined[index, first_max_idx] = -np.inf
-            second_max = np.max(combined, axis=1)
+            np.add(availability, s, out=scratch)
+            first_max_idx = np.argmax(scratch, axis=1)
+            first_max = scratch[index, first_max_idx]
+            scratch[index, first_max_idx] = -np.inf
+            second_max = np.max(scratch, axis=1)
 
-            new_responsibility = s - first_max[:, None]
-            new_responsibility[index, first_max_idx] = (
-                s[index, first_max_idx] - second_max
-            )
-            responsibility = (
-                damping * responsibility + (1.0 - damping) * new_responsibility
-            )
+            np.subtract(s, first_max[:, None], out=scratch)
+            scratch[index, first_max_idx] = s[index, first_max_idx] - second_max
+            scratch *= 1.0 - damping
+            responsibility *= damping
+            responsibility += scratch
 
             # --- availabilities ---------------------------------------------------
-            positive_resp = np.maximum(responsibility, 0.0)
-            np.fill_diagonal(positive_resp, responsibility.diagonal())
-            column_sums = positive_resp.sum(axis=0)
-            new_availability = column_sums[None, :] - positive_resp
-            diagonal = new_availability.diagonal().copy()
-            new_availability = np.minimum(new_availability, 0.0)
-            np.fill_diagonal(new_availability, diagonal)
-            availability = (
-                damping * availability + (1.0 - damping) * new_availability
-            )
+            np.maximum(responsibility, 0.0, out=scratch)
+            scratch.flat[diagonal] = responsibility.flat[diagonal]
+            np.subtract(scratch.sum(axis=0), scratch, out=scratch)
+            self_availability = scratch.flat[diagonal]
+            np.minimum(scratch, 0.0, out=scratch)
+            scratch.flat[diagonal] = self_availability
+            scratch *= 1.0 - damping
+            availability *= damping
+            availability += scratch
 
             # --- convergence check ------------------------------------------------
-            exemplars_mask = (availability + responsibility).diagonal() > 0
+            exemplars_mask = (
+                availability.flat[diagonal] + responsibility.flat[diagonal] > 0
+            )
             exemplar_history[(iteration - 1) % self.convergence_iter] = exemplars_mask
             if iteration >= self.convergence_iter:
                 stable = np.all(exemplar_history == exemplar_history[0], axis=0).all()
@@ -244,15 +252,12 @@ class AffinityPropagation(BaseClusterer):
                     # oscillation, not drift — damp the messages harder.
                     damping = min(damping + self.damping_increment, damping_ceiling)
 
-        exemplars = np.flatnonzero(
-            (availability + responsibility).diagonal() > 0
-        )
+        evidence = availability.flat[diagonal] + responsibility.flat[diagonal]
+        exemplars = np.flatnonzero(evidence > 0)
         if exemplars.size == 0:
             # Degenerate outcome: fall back to the sample with the strongest
             # evidence of being an exemplar so that at least one cluster exists.
-            exemplars = np.array(
-                [int(np.argmax((availability + responsibility).diagonal()))]
-            )
+            exemplars = np.array([int(np.argmax(evidence))])
 
         assignment = np.argmax(s[:, exemplars], axis=1)
         assignment[exemplars] = np.arange(exemplars.shape[0])

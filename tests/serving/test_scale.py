@@ -157,6 +157,12 @@ class TestShardedScale:
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=60) == 0
         finally:
+            # Terminate before killing: SIGTERM makes ``repro serve`` stop
+            # its shard workers, which a SIGKILL would leave running.
             if process.poll() is None:
-                process.kill()
-                process.wait(timeout=30)
+                process.terminate()
+                try:
+                    process.wait(timeout=30)
+                except subprocess.TimeoutExpired:
+                    process.kill()
+                    process.wait(timeout=30)

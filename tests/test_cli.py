@@ -196,10 +196,11 @@ class TestBench:
         assert payload["smoke"] is True
         results = payload["results"]
         for section in ("gradient_kernel", "sls_epoch", "density_peaks",
-                        "runner_scaling"):
+                        "affinity_propagation", "runner_scaling"):
             assert section in results
         assert results["gradient_kernel"]["speedup"] > 0
         assert results["density_peaks"]["labels_identical"] is True
+        assert results["affinity_propagation"]["labels_identical"] is True
         assert "benchmark report written" in capsys.readouterr().out
 
 
