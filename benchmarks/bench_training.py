@@ -1,4 +1,4 @@
-"""Training-side perf harness: kernels, clustering and runner scaling.
+"""Training-side perf harness: kernels, clustering and distributed scaling.
 
 Thin wrapper over :mod:`repro.bench` (the same engine behind
 ``python -m repro bench``) so the training hot paths sit next to the other
@@ -12,8 +12,8 @@ Run standalone::
 The JSON report is the tracked perf trajectory: each section records the
 optimised kernel against the kept reference implementation
 (:mod:`repro.rbm.gradients_reference`, the legacy DensityPeaks replica and
-:mod:`repro.clustering.affinity_propagation_reference`), plus
-sequential-vs-``n_jobs`` runner wall-clock.
+:mod:`repro.clustering.affinity_propagation_reference`), plus the
+sequential-vs-loopback-workers grid wall-clock (``distributed_scaling``).
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--out", default="BENCH_training.json")
-    parser.add_argument("--n-jobs", type=int, default=4)
     args = parser.parse_args(argv)
-    payload = run_training_benchmarks(smoke=args.smoke, n_jobs=args.n_jobs)
+    payload = run_training_benchmarks(smoke=args.smoke)
     out = write_benchmark_report(payload, args.out)
     print(format_summary(payload))
     print(f"benchmark report written to {out}")

@@ -13,8 +13,8 @@ every PR leaves a perf trajectory:
   pre-optimisation full-matrix implementation (replicated below);
 * ``affinity_propagation`` — in-place :class:`repro.clustering.AffinityPropagation`
   vs :mod:`repro.clustering.affinity_propagation_reference`;
-* ``runner_scaling`` — a small experiment grid run sequentially and with
-  ``ExperimentRunner(n_jobs=...)``.
+* ``distributed_scaling`` — a small experiment grid run sequentially and
+  with ``ExperimentRunner(workers=N)`` loopback workers, N in {1, 2, 4}.
 
 All sections use best-of-``repeats`` wall-clock timings.  ``--smoke`` keeps
 every section under a few seconds for CI.
@@ -278,49 +278,9 @@ def bench_affinity_propagation(*, smoke: bool = False, repeats: int = 3) -> dict
     }
 
 
-# ------------------------------------------------------------- runner scaling
-def bench_runner_scaling(*, smoke: bool = False, n_jobs: int = 4) -> dict:
-    """2-dataset x 4-algorithm grid: sequential vs ``n_jobs`` process pool."""
-    from repro.datasets import load_uci_suite
-    from repro.datasets.base import DatasetSuite
-    from repro.experiments.runner import ExperimentRunner
-
-    scale = 0.15 if smoke else 0.3
-    n_epochs = 2 if smoke else 3
-    suite = load_uci_suite(scale=scale, random_state=0)
-    suite = DatasetSuite("bench", list(suite)[:2])
-    algorithms = ("DP", "K-means", "K-means+RBM", "K-means+slsRBM")
-
-    def run(jobs: int) -> float:
-        runner = ExperimentRunner(
-            algorithms,
-            n_repeats=2,
-            n_hidden=8,
-            n_epochs=n_epochs,
-            batch_size=32,
-            random_state=0,
-            n_jobs=jobs,
-        )
-        start = time.perf_counter()
-        runner.run_suite(suite)
-        return time.perf_counter() - start
-
-    sequential = run(1)
-    parallel = run(n_jobs)
-    return {
-        "n_datasets": 2,
-        "n_algorithms": len(algorithms),
-        "n_repeats": 2,
-        "n_jobs": n_jobs,
-        "cpu_count": os.cpu_count(),
-        "sequential_seconds": sequential,
-        "parallel_seconds": parallel,
-        "parallel_over_sequential": parallel / sequential,
-    }
-
-
+# -------------------------------------------------------- distributed scaling
 def bench_distributed_scaling(*, smoke: bool = False) -> dict:
-    """The runner-scaling grid fanned out over loopback worker processes.
+    """2-dataset x 4-algorithm grid: sequential vs loopback worker processes.
 
     One wall-clock sample per worker count in {1, 2, 4}: each run spawns
     its own coordinator and worker subprocesses, so the numbers include the
@@ -372,14 +332,13 @@ def bench_distributed_scaling(*, smoke: bool = False) -> dict:
 
 
 # ---------------------------------------------------------------------- entry
-def run_training_benchmarks(*, smoke: bool = False, n_jobs: int = 4) -> dict:
+def run_training_benchmarks(*, smoke: bool = False) -> dict:
     """Run every section and return the report payload."""
     results = {
         "gradient_kernel": bench_gradient_kernel(smoke=smoke),
         "sls_epoch": bench_sls_epoch(smoke=smoke),
         "density_peaks": bench_density_peaks(smoke=smoke),
         "affinity_propagation": bench_affinity_propagation(smoke=smoke),
-        "runner_scaling": bench_runner_scaling(smoke=smoke, n_jobs=n_jobs),
         "distributed_scaling": bench_distributed_scaling(smoke=smoke),
     }
     return {
@@ -424,23 +383,16 @@ def format_summary(payload: dict) -> str:
             f"{section['reference_seconds'] * 1e3:8.1f} ms reference "
             f"({section['speedup']:.2f}x)"
         )
-    scaling = results["runner_scaling"]
-    lines.append(
-        f"  runner_scaling       n_jobs={scaling['n_jobs']}: "
-        f"{scaling['parallel_seconds']:.2f} s vs {scaling['sequential_seconds']:.2f} s "
-        f"sequential ({scaling['parallel_over_sequential']:.2f}x wall-clock)"
+    distributed = results["distributed_scaling"]
+    per_count = ", ".join(
+        f"{n} worker(s): {entry['seconds']:.2f} s "
+        f"({entry['over_sequential']:.2f}x)"
+        for n, entry in sorted(
+            distributed["workers"].items(), key=lambda item: int(item[0])
+        )
     )
-    distributed = results.get("distributed_scaling")
-    if distributed:
-        per_count = ", ".join(
-            f"{n} worker(s): {entry['seconds']:.2f} s "
-            f"({entry['over_sequential']:.2f}x)"
-            for n, entry in sorted(
-                distributed["workers"].items(), key=lambda item: int(item[0])
-            )
-        )
-        lines.append(
-            f"  distributed          loopback {per_count} vs "
-            f"{distributed['sequential_seconds']:.2f} s sequential"
-        )
+    lines.append(
+        f"  distributed_scaling  loopback {per_count} vs "
+        f"{distributed['sequential_seconds']:.2f} s sequential"
+    )
     return "\n".join(lines)

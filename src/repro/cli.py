@@ -11,8 +11,8 @@ Four subcommands cover the train/serve lifecycle introduced by
 * ``evaluate`` — load an artifact, encode a labelled dataset, cluster the
   features and print every external metric; or, with ``--grid``, run a full
   dataset x algorithm experiment grid through :class:`ExperimentRunner`
-  (optionally fanned out over ``--n-jobs`` worker processes, or distributed
-  over ``--workers`` — loopback subprocesses or remote standby workers);
+  (optionally fanned out over ``--workers`` — loopback subprocesses or
+  remote standby workers);
 * ``worker``   — execute grid cells for a distributed coordinator
   (``--connect HOST:PORT``), or stand by for one (``--listen PORT``);
 * ``serve``    — load one or more artifact bundles into an
@@ -34,7 +34,7 @@ Examples
         --output features.npy
     python -m repro evaluate --artifact artifacts/ir --suite uci --dataset IR
     python -m repro evaluate --grid --suite uci --dataset IR,BCW \
-        --algorithms "DP,K-means,K-means+slsRBM" --repeats 3 --n-jobs 4
+        --algorithms "DP,K-means,K-means+slsRBM" --repeats 3
     python -m repro evaluate --grid --suite uci --dataset IR \
         --algorithms "DP,K-means" --workers 2
     python -m repro worker --connect 127.0.0.1:9000
@@ -290,7 +290,6 @@ def _cmd_evaluate_grid(args: argparse.Namespace) -> int:
         n_epochs=args.epochs,
         batch_size=args.batch_size,
         random_state=args.seed,
-        n_jobs=args.n_jobs,
         workers=_parse_workers(args.workers),
         lease_timeout=args.lease_timeout,
         journal=args.journal,
@@ -305,14 +304,14 @@ def _cmd_evaluate_grid(args: argparse.Namespace) -> int:
         f"duplicate results: {runner.n_duplicate_results}, "
         f"retried cells: {runner.n_retried_cells}"
         if runner.workers is not None
-        else f"n_jobs={args.n_jobs}"
+        else "sequential"
     )
     print(
         f"cells: {len(datasets)} datasets x {len(algorithms)} algorithms x "
         f"{args.repeats} repeats, {distribution}, "
         f"supervision cache hits: {runner.n_supervision_hits}"
     )
-    if runner.workers is not None and runner.n_journal_replayed:
+    if runner.n_journal_replayed:
         print(f"journal: {runner.n_journal_replayed} cell(s) replayed from "
               f"{args.journal} (crash resume)")
     if runner.quarantined_workers:
@@ -367,7 +366,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         write_benchmark_report,
     )
 
-    payload = run_training_benchmarks(smoke=args.smoke, n_jobs=args.n_jobs)
+    payload = run_training_benchmarks(smoke=args.smoke)
     out = write_benchmark_report(payload, args.out)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -634,9 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "full paper grid of the suite)")
     grid.add_argument("--repeats", type=int, default=1,
                       help="repeats per stochastic cell (default: 1)")
-    grid.add_argument("--n-jobs", type=int, default=1,
-                      help="worker processes for the grid cells; results are "
-                           "bit-identical to --n-jobs 1 (default: 1)")
     grid.add_argument("--workers",
                       help="distribute the grid: a count (auto-spawned "
                            "loopback worker subprocesses) or a comma-"
@@ -647,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="seconds a distributed worker may go silent "
                            "before its cells are re-queued (default: 30)")
     grid.add_argument("--journal", metavar="PATH",
-                      help="distributed mode: append-only JSONL write-ahead "
+                      help="requires --workers: append-only JSONL write-ahead "
                            "journal; every accepted cell result is fsync'd "
                            "there before it is acknowledged")
     grid.add_argument("--resume", action="store_true",
@@ -759,8 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="small sizes so every section finishes in seconds")
     bench.add_argument("--out", default="BENCH_training.json",
                        help="output JSON path (default: BENCH_training.json)")
-    bench.add_argument("--n-jobs", type=int, default=4,
-                       help="worker processes for the runner-scaling section")
     bench.add_argument("--json", action="store_true",
                        help="also dump the full payload as JSON to stdout")
     bench.set_defaults(func=_cmd_bench)

@@ -13,7 +13,6 @@ from repro.clustering.density_peaks import DensityPeaks
 from repro.clustering.hierarchical import AgglomerativeClustering
 from repro.clustering.kmeans import KMeans
 from repro.clustering.minibatch_kmeans import MiniBatchKMeans
-from repro.clustering.registry import available_clusterers, make_clusterer
 from repro.clustering.spectral import SpectralClustering
 
 __all__ = [
@@ -24,6 +23,4 @@ __all__ = [
     "DensityPeaks",
     "AgglomerativeClustering",
     "SpectralClustering",
-    "make_clusterer",
-    "available_clusterers",
 ]

@@ -1,10 +1,10 @@
 """Fault-tolerant multi-host experiment runner.
 
-The paper's evaluation is a (dataset x algorithm x repeat) grid;
-:class:`~repro.experiments.runner.ExperimentRunner` fans it out on one host
-via a process pool.  This package scales the same grid across hosts with a
-coordinator/worker protocol over JSON/HTTP (plumbing shared with the
-serving stack via :mod:`repro.serving.wire`):
+The paper's evaluation is a (dataset x algorithm x repeat) grid.  This
+package fans it out from :class:`~repro.experiments.runner.ExperimentRunner`
+over local or remote worker processes with a coordinator/worker protocol
+over JSON/HTTP (plumbing shared with the serving stack via
+:mod:`repro.serving.wire`):
 
 * the **coordinator** (:class:`GridCoordinator`) shards cells into a lease
   queue, serves datasets to workers, merges streamed-back outcomes

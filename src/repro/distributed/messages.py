@@ -220,10 +220,9 @@ def cell_from_wire(payload: dict) -> dict:
 def outcome_to_wire(outcome: _RepeatOutcome) -> dict:
     """One repeat's result as JSON.
 
-    The in-memory supervision object of ``supervision_entry`` stays on the
-    worker (it is not JSON and the coordinator could not hand it to another
-    host anyway); workers keep their own per-process supervision caches
-    exactly like the process-pool path, and only the hit statistics travel.
+    The in-memory supervision stays on the worker (it is not JSON and the
+    coordinator could not hand it to another host anyway); workers keep their
+    own per-process supervision caches, and only the hit statistics travel.
     """
     return {
         "report": outcome.report.to_payload(),
@@ -239,7 +238,6 @@ def outcome_from_wire(payload: dict) -> _RepeatOutcome:
             report=ClusteringReport.from_payload(payload["report"]),
             artifact_hit=bool(payload["artifact_hit"]),
             supervision_hit=bool(payload["supervision_hit"]),
-            supervision_entry=None,
         )
     except KeyError as exc:
         raise ProtocolError(f"outcome payload is missing field {exc}") from exc

@@ -8,7 +8,6 @@ optional repetitions to report the mean and variance of stochastic cells
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -253,12 +252,11 @@ def _load_warm_framework(bundle: Path, expected, dataset: Dataset):
 @dataclass(frozen=True)
 class _RepeatOutcome:
     """Result of one (dataset, algorithm, repeat) evaluation plus the cache
-    bookkeeping the parent runner merges on join."""
+    statistics the runner counts on merge."""
 
     report: ClusteringReport
     artifact_hit: bool
     supervision_hit: bool
-    supervision_entry: tuple | None
 
 
 def _build_spec_cell(spec: dict):
@@ -320,9 +318,9 @@ def _run_repeat(
     """Evaluate one repeat of one cell.
 
     Shared by the sequential path (called with the runner's live supervision
-    cache) and the process-pool path (called in a worker with a private
-    cache; the parent merges the returned entries/statistics).  Seeding is
-    identical in both: repeat ``r`` always uses ``random_state + r``.
+    cache) and the distributed workers (called with a per-process cache; only
+    the hit statistics travel back).  Seeding is identical in both: repeat
+    ``r`` always uses ``random_state + r``.
     """
     from repro.persistence import save_framework
 
@@ -351,13 +349,11 @@ def _run_repeat(
         dataset, supervision=supervision, reuse_fitted=warm is not None
     ).report
 
-    supervision_entry = None
     framework = pipeline.framework
     if framework is not None and warm is None:
         if framework.config.uses_supervision and framework.supervision_ is not None:
             key = _supervision_key(dataset, framework)
             supervision_cache.setdefault(key, framework.supervision_)
-            supervision_entry = (key, framework.supervision_)
         if artifact_dir is not None:
             save_framework(
                 framework, _artifact_path(artifact_dir, dataset, label, repeat)
@@ -366,15 +362,6 @@ def _run_repeat(
         report=report,
         artifact_hit=warm is not None,
         supervision_hit=supervision_hit,
-        supervision_entry=supervision_entry,
-    )
-
-
-def _run_repeat_task(payload: tuple) -> _RepeatOutcome:
-    """Process-pool entry point: one repeat with a worker-local cache."""
-    dataset, algorithm, repeat, settings, label = payload
-    return _run_repeat(
-        dataset, algorithm, repeat, settings, supervision_cache={}, label=label
     )
 
 
@@ -406,23 +393,19 @@ class ExperimentRunner:
         the bundle instead of retraining; within one run, the multi-clustering
         supervision is additionally shared across the sls cells of a dataset
         that request the identical integration.
-    n_jobs : int, default 1
-        Worker processes for fanning out the (dataset, algorithm, repeat)
-        cells.  Every repeat keeps the exact per-repeat seeding of the
-        sequential path, so results are bit-identical for any ``n_jobs``;
-        workers cannot share the in-memory supervision cache, so parallel
-        runs may recompute a supervision that the sequential path would have
-        reused (the recomputation is deterministic and yields the same
-        object), and the per-worker cache statistics are merged on join.
     workers : int or list of str, optional
-        Distributed fan-out (takes precedence over ``n_jobs``).  An int
-        auto-spawns that many local worker subprocesses against an
-        ephemeral coordinator (loopback mode — the whole stack on one
-        machine); a list of ``"host:port"`` strings dials standby workers
+        Fan the (dataset, algorithm, repeat) cells out over worker
+        processes; ``None`` (the default) runs them sequentially in this
+        process.  An int auto-spawns that many local worker subprocesses
+        against an ephemeral coordinator (loopback mode — the whole stack on
+        one machine); a list of ``"host:port"`` strings dials standby workers
         started with ``python -m repro worker --listen PORT``.  Seeding
         derives from cell identity, never from arrival order, so the merged
         table is bit-identical to the sequential run — including when a
-        worker dies mid-cell and its leases are re-queued.
+        worker dies mid-cell and its leases are re-queued.  Workers keep
+        per-process supervision caches, so a distributed run may recompute a
+        supervision that the sequential path would have reused (the
+        recomputation is deterministic and yields the same object).
     lease_timeout : float, default 30.0
         Distributed mode only: seconds a worker may go silent before its
         leased cells are re-queued to other workers.
@@ -433,6 +416,8 @@ class ExperimentRunner:
         Distributed mode only: write-ahead journal file.  Every accepted
         cell result is fsync'd there before the worker's acknowledgement,
         so a coordinator killed mid-grid loses nothing it acknowledged.
+        Requires ``workers``: a sequential run keeps no journal, so setting
+        one without ``workers`` raises :class:`ValidationError`.
     resume : bool, default False
         Distributed mode only: replay ``journal`` from a previous
         (crashed) run of the *same* grid — replayed cells are merged
@@ -480,7 +465,6 @@ class ExperimentRunner:
         random_state: int = 0,
         config_overrides: dict | None = None,
         artifact_dir: str | Path | None = None,
-        n_jobs: int = 1,
         workers: int | list[str] | tuple[str, ...] | None = None,
         lease_timeout: float = 30.0,
         coordinator_host: str = "127.0.0.1",
@@ -509,13 +493,16 @@ class ExperimentRunner:
         self.random_state = int(random_state)
         self.config_overrides = dict(config_overrides or {})
         self.artifact_dir = Path(artifact_dir) if artifact_dir is not None else None
-        self.n_jobs = check_positive_int(n_jobs, name="n_jobs")
         self.workers = self._check_workers(workers)
         if lease_timeout <= 0:
             raise ValidationError("lease_timeout must be positive")
         self.lease_timeout = float(lease_timeout)
         self.coordinator_host = str(coordinator_host)
         self.journal = Path(journal) if journal is not None else None
+        if self.journal is not None and self.workers is None:
+            raise ValidationError(
+                "journal requires workers: a sequential run keeps no journal"
+            )
         self.resume = bool(resume)
         if self.resume and self.journal is None:
             raise ValidationError("resume=True requires a journal path")
@@ -568,15 +555,12 @@ class ExperimentRunner:
     def _merge_cell(
         self, dataset: Dataset, algorithm: str, outcomes: list[_RepeatOutcome]
     ) -> ExperimentCell:
-        """Fold repeat outcomes into a cell and absorb their cache statistics."""
+        """Fold repeat outcomes into a cell and count their cache hits."""
         for outcome in outcomes:
             if outcome.artifact_hit:
                 self.n_artifact_hits += 1
             if outcome.supervision_hit:
                 self.n_supervision_hits += 1
-            if outcome.supervision_entry is not None:
-                key, supervision = outcome.supervision_entry
-                self._supervision_cache.setdefault(key, supervision)
         reports = [outcome.report for outcome in outcomes]
         mean = {
             metric: float(np.mean([r[metric] for r in reports]))
@@ -701,41 +685,26 @@ class ExperimentRunner:
     def _evaluate_cells(
         self, pairs: list[tuple[Dataset, str]]
     ) -> list[ExperimentCell]:
-        """Evaluate (dataset, algorithm) pairs: sequentially, via the
-        process pool, or distributed over workers."""
+        """Evaluate (dataset, algorithm) pairs: sequentially, or distributed
+        over workers."""
         if self.workers is not None:
             return self._evaluate_cells_distributed(pairs)
         settings = self._settings()
-        if self.n_jobs == 1 or len(pairs) * self.n_repeats == 1:
-            cells = []
-            for dataset, algorithm in pairs:
-                entry = self._algorithms.get(algorithm, algorithm)
-                outcomes = [
-                    _run_repeat(
-                        dataset,
-                        entry,
-                        repeat,
-                        settings,
-                        self._supervision_cache,
-                        label=algorithm,
-                    )
-                    for repeat in range(self.n_repeats)
-                ]
-                cells.append(self._merge_cell(dataset, algorithm, outcomes))
-            return cells
-
-        payloads = [
-            (dataset, self._algorithms.get(algorithm, algorithm), repeat, settings,
-             algorithm)
-            for dataset, algorithm in pairs
-            for repeat in range(self.n_repeats)
-        ]
-        with ProcessPoolExecutor(max_workers=self.n_jobs) as pool:
-            outcomes = list(pool.map(_run_repeat_task, payloads))
         cells = []
-        for index, (dataset, algorithm) in enumerate(pairs):
-            chunk = outcomes[index * self.n_repeats : (index + 1) * self.n_repeats]
-            cells.append(self._merge_cell(dataset, algorithm, chunk))
+        for dataset, algorithm in pairs:
+            entry = self._algorithms.get(algorithm, algorithm)
+            outcomes = [
+                _run_repeat(
+                    dataset,
+                    entry,
+                    repeat,
+                    settings,
+                    self._supervision_cache,
+                    label=algorithm,
+                )
+                for repeat in range(self.n_repeats)
+            ]
+            cells.append(self._merge_cell(dataset, algorithm, outcomes))
         return cells
 
     # --------------------------------------------------------------------- API
@@ -760,9 +729,9 @@ class ExperimentRunner:
     def run_suite(self, suite: DatasetSuite, *, name: str | None = None) -> ExperimentTable:
         """Evaluate the whole grid over a dataset suite.
 
-        With ``n_jobs > 1`` every (dataset, algorithm, repeat) cell of the
-        grid is dispatched to the process pool at once, so the fan-out spans
-        the entire suite rather than one dataset at a time.
+        With ``workers`` set every (dataset, algorithm, repeat) cell of the
+        grid is queued at once, so the fan-out spans the entire suite rather
+        than one dataset at a time.
         """
         table = ExperimentTable(
             name or suite.name,

@@ -15,11 +15,12 @@ checksum of ``arrays.npz`` so silent corruption is caught on load
 Schema history
 --------------
 * **v1** — per-kind construction info (``model.config`` +
-  ``framework.config``) interpreted by hand-rolled loaders.
+  ``framework.config``) interpreted by hand-rolled loaders.  No longer
+  readable: loading one raises :class:`~repro.exceptions.SchemaVersionError`.
 * **v2** — adds a top-level ``"spec"``: the :mod:`repro.registry` component
   spec of the saved estimator, so loading is ``registry.build(spec)`` +
   state restore, and the same spec format is shared with configs and
-  experiment grids.  v1 bundles remain loadable.
+  experiment grids.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 
 import repro
 from repro import registry
-from repro.core.config import FrameworkConfig
 from repro.core.framework import SelfLearningEncodingFramework
 from repro.exceptions import (
     ArtifactCorruptedError,
@@ -41,10 +41,6 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.rbm.base import BaseRBM
-from repro.rbm.grbm import GaussianRBM
-from repro.rbm.rbm import BernoulliRBM
-from repro.rbm.sls_grbm import SlsGRBM
-from repro.rbm.sls_rbm import SlsRBM
 from repro.supervision.local_supervision import LocalSupervision
 
 __all__ = [
@@ -52,7 +48,6 @@ __all__ = [
     "READABLE_SCHEMA_VERSIONS",
     "MANIFEST_NAME",
     "ARRAYS_NAME",
-    "MODEL_CLASSES",
     "save_model",
     "load_model",
     "save_framework",
@@ -63,24 +58,15 @@ __all__ = [
 ]
 
 #: Bump on any backwards-incompatible change to the bundle layout.
-#: v2 added the registry ``"spec"`` entry (2026-07); v1 bundles still load.
+#: v2 added the registry ``"spec"`` entry (2026-07).
 SCHEMA_VERSION = 2
 
 #: Schema versions this build can load.
-READABLE_SCHEMA_VERSIONS = (1, 2)
+READABLE_SCHEMA_VERSIONS = (2,)
 
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
 _FORMAT = "repro-artifact"
-
-#: model_kind -> concrete class; kept for the v1 loading path and for
-#: backwards-compatible imports (the registry is the authoritative mapping).
-MODEL_CLASSES: dict[str, type[BaseRBM]] = {
-    BernoulliRBM.model_kind: BernoulliRBM,
-    GaussianRBM.model_kind: GaussianRBM,
-    SlsRBM.model_kind: SlsRBM,
-    SlsGRBM.model_kind: SlsGRBM,
-}
 
 
 # ---------------------------------------------------------------- primitives
@@ -222,30 +208,25 @@ def save_model(model: BaseRBM, path) -> Path:
     return _write_bundle(Path(path), "model", payload, arrays)
 
 
-def _build_saved_model(path: Path, manifest: dict) -> BaseRBM:
-    """Construct the (unfitted) model a manifest describes.
-
-    Schema v2 bundles carry a registry spec and are built through
-    :func:`repro.registry.build`; v1 bundles fall back to the per-kind
-    class table.
-    """
+def _build_from_spec(path: Path, manifest: dict, kind: str, expected: type):
+    """Construct the (unfitted) estimator the manifest's registry spec
+    describes, insisting on an instance of ``expected``."""
     spec = manifest.get("spec")
-    if spec is not None:
-        try:
-            return registry.build(spec)
-        except (ValidationError, TypeError) as exc:
-            # TypeError covers corrupt/foreign param keys rejected by the
-            # component constructor itself.
-            raise ArtifactCorruptedError(
-                f"artifact {path} carries an unbuildable spec: {exc}"
-            ) from exc
-    info = manifest.get("model") or {}
-    kind = info.get("model_kind")
-    if kind not in MODEL_CLASSES:
+    if spec is None:
+        raise ArtifactCorruptedError(f"artifact {path} has no registry spec")
+    try:
+        estimator = registry.build(spec, kind=kind)
+    except (ValidationError, TypeError) as exc:
+        # TypeError covers corrupt/foreign param keys rejected by the
+        # component constructor itself.
         raise ArtifactCorruptedError(
-            f"artifact {path} names unknown model kind {kind!r}"
+            f"artifact {path} carries an unbuildable spec: {exc}"
+        ) from exc
+    if not isinstance(estimator, expected):
+        raise ArtifactCorruptedError(
+            f"artifact {path} spec built a {type(estimator).__name__}, not a {kind}"
         )
-    return MODEL_CLASSES[kind](**info.get("config", {}))
+    return estimator
 
 
 def load_model(path) -> BaseRBM:
@@ -257,11 +238,7 @@ def load_model(path) -> BaseRBM:
             f"artifact {path} holds a {manifest.get('kind')!r}, not a model; "
             "use load_framework for framework bundles"
         )
-    model = _build_saved_model(path, manifest)
-    if not isinstance(model, BaseRBM):
-        raise ArtifactCorruptedError(
-            f"artifact {path} spec built a {type(model).__name__}, not a model"
-        )
+    model = _build_from_spec(path, manifest, "model", BaseRBM)
     arrays = _load_arrays(path, manifest)
     return _restore_model(model, manifest, arrays)
 
@@ -310,32 +287,15 @@ def load_framework(path) -> SelfLearningEncodingFramework:
             f"artifact {path} holds a {manifest.get('kind')!r}, not a framework; "
             "use load_model for bare model bundles"
         )
-    spec = manifest.get("spec")
-    if spec is not None:
-        try:
-            framework = registry.build(spec, kind="framework")
-        except (ValidationError, TypeError) as exc:
-            raise ArtifactCorruptedError(
-                f"artifact {path} carries an unbuildable spec: {exc}"
-            ) from exc
-        if not isinstance(framework, SelfLearningEncodingFramework):
-            raise ArtifactCorruptedError(
-                f"artifact {path} spec built a {type(framework).__name__}, "
-                "not a framework"
-            )
-        config = framework.config
-    else:
-        info = manifest.get("framework") or {}
-        config = FrameworkConfig.from_dict(info.get("config", {}))
-        framework = SelfLearningEncodingFramework(
-            config, n_clusters=int(info.get("n_clusters", 1))
-        )
+    framework = _build_from_spec(
+        path, manifest, "framework", SelfLearningEncodingFramework
+    )
     model = framework.build_model()
     saved_kind = (manifest.get("model") or {}).get("model_kind")
     if saved_kind != model.model_kind:
         raise ArtifactCorruptedError(
             f"artifact {path} pairs a {saved_kind!r} model with a "
-            f"{config.model!r} framework configuration"
+            f"{framework.config.model!r} framework configuration"
         )
     arrays = _load_arrays(path, manifest)
     _restore_model(model, manifest, arrays)

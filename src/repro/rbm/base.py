@@ -11,7 +11,6 @@ conditional is always ``p(h_j = 1 | v) = sigmoid(b_j + sum_i v_i w_ij)``
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -430,29 +429,6 @@ class BaseRBM(EstimatorMixin, abc.ABC):
         if history is not None:
             self.training_history_ = TrainingHistory.from_dict(history)
         return self
-
-    def set_params(self, *args, **params):
-        """Estimator-protocol parameter update (see :class:`EstimatorMixin`).
-
-        Calling it with a single positional state dictionary — the pre-protocol
-        persistence signature — still works but is deprecated in favour of
-        :meth:`set_state`.
-        """
-        if args:
-            if len(args) == 1 and isinstance(args[0], dict) and not params:
-                warnings.warn(
-                    "set_params(state_dict) is deprecated; use set_state() for "
-                    "fitted state and set_params(**params) for constructor "
-                    "parameters",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                return self.set_state(args[0])
-            raise TypeError(
-                "set_params takes keyword parameters only "
-                "(or one legacy state dictionary)"
-            )
-        return super().set_params(**params)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

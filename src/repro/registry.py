@@ -374,9 +374,7 @@ def build_clusterer(name: str, n_clusters: int, *, random_state=None):
     The clusterers do not all share constructor parameters — Affinity
     Propagation targets a cluster count through its ``target_n_clusters``
     preference tuning, and the deterministic algorithms take no seed — so
-    this adapter translates the uniform call into the right spec.  It is the
-    registry-native replacement for the old
-    :func:`repro.clustering.registry.make_clusterer`.
+    this adapter translates the uniform call into the right spec.
     """
     key = str(name).strip().lower()
     cls = REGISTRY.get_class(key, kind="clusterer")

@@ -1,4 +1,4 @@
-"""Tests for the clusterer base class and the registry factory."""
+"""Tests for the clusterer base class and the registry's clusterer factory."""
 
 from __future__ import annotations
 
@@ -12,10 +12,9 @@ from repro.clustering import (
     DensityPeaks,
     KMeans,
     SpectralClustering,
-    available_clusterers,
-    make_clusterer,
 )
 from repro.exceptions import NotFittedError, ValidationError
+from repro.registry import available, build_clusterer
 
 
 class _DummyClusterer(BaseClusterer):
@@ -65,7 +64,7 @@ class TestBaseClusterer:
 
 class TestRegistry:
     def test_available_names(self):
-        names = available_clusterers()
+        names = available("clusterer")
         assert {"dp", "kmeans", "ap"} <= set(names)
 
     @pytest.mark.parametrize(
@@ -82,22 +81,22 @@ class TestRegistry:
         ],
     )
     def test_factory_types(self, name, expected_type):
-        assert isinstance(make_clusterer(name, 3), expected_type)
+        assert isinstance(build_clusterer(name, 3), expected_type)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValidationError, match="unknown clusterer"):
-            make_clusterer("dbscan", 3)
+            build_clusterer("dbscan", 3)
 
     def test_n_clusters_forwarded(self):
-        model = make_clusterer("kmeans", 5)
+        model = build_clusterer("kmeans", 5)
         assert model.n_clusters == 5
 
     def test_ap_receives_target(self):
-        model = make_clusterer("ap", 4)
+        model = build_clusterer("ap", 4)
         assert model.target_n_clusters == 4
 
     def test_random_state_forwarded(self, blobs_dataset):
         data, _ = blobs_dataset
-        a = make_clusterer("kmeans", 3, random_state=1).fit_predict(data)
-        b = make_clusterer("kmeans", 3, random_state=1).fit_predict(data)
+        a = build_clusterer("kmeans", 3, random_state=1).fit_predict(data)
+        b = build_clusterer("kmeans", 3, random_state=1).fit_predict(data)
         np.testing.assert_array_equal(a, b)

@@ -202,14 +202,11 @@ class TestOutcomeWire:
             report=report,
             artifact_hit=True,
             supervision_hit=False,
-            supervision_entry=(("IR", 0), object()),
         )
         rebuilt = outcome_from_wire(roundtrip(outcome_to_wire(outcome)))
         assert rebuilt.report == report
         assert rebuilt.artifact_hit is True
         assert rebuilt.supervision_hit is False
-        # Supervision objects never travel: each worker keeps its own cache.
-        assert rebuilt.supervision_entry is None
 
     def test_missing_field_raises(self):
         with pytest.raises(ProtocolError, match="missing field"):

@@ -68,6 +68,12 @@ class TestWorkersValidation:
         with pytest.raises(ValidationError, match="lease_timeout"):
             ExperimentRunner(ALGORITHMS, workers=2, lease_timeout=0.0)
 
+    def test_journal_without_workers_rejected(self, tmp_path):
+        # A sequential run keeps no journal; accepting one would let a user
+        # believe the grid is crash-safe (and --resume re-run every cell).
+        with pytest.raises(ValidationError, match="journal requires workers"):
+            ExperimentRunner(ALGORITHMS, journal=tmp_path / "grid.jsonl")
+
 
 class TestLoopbackBitIdentity:
     def test_two_loopback_workers_match_sequential(

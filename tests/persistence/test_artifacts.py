@@ -154,15 +154,13 @@ class TestModelRoundTrip:
         with pytest.raises(ValidationError):
             other.set_state(state)
 
-    def test_legacy_set_params_state_dict_shim(self, binary_dataset):
-        # The pre-protocol persistence signature still restores state, with a
-        # DeprecationWarning pointing at set_state.
+    def test_set_params_rejects_a_state_dict(self, binary_dataset):
+        # Fitted state goes through set_state; set_params takes constructor
+        # parameters as keywords only.
         data, _ = binary_dataset
         model = BernoulliRBM(6, n_epochs=2, random_state=0).fit(data)
-        other = BernoulliRBM(6)
-        with pytest.warns(DeprecationWarning, match="set_state"):
-            other.set_params(model.get_state())
-        assert np.array_equal(model.transform(data), other.transform(data))
+        with pytest.raises(TypeError):
+            BernoulliRBM(6).set_params(model.get_state())
 
 
 class TestSupervisionRoundTrip:
@@ -247,7 +245,7 @@ class TestFrameworkConfigDict:
 
 
 class TestSchemaV2AndBackCompat:
-    """Schema v2 spec entry + v1 bundles staying loadable."""
+    """Schema v2 spec entry; v1 bundles are refused."""
 
     @pytest.fixture
     def bundle(self, tmp_path):
@@ -280,27 +278,31 @@ class TestSchemaV2AndBackCompat:
         reloaded = load_framework(second)
         assert np.array_equal(framework.transform(data), reloaded.transform(data))
 
-    def test_v1_bundle_still_loads(self, bundle):
-        framework, data, path = bundle
+    def test_v1_bundle_refused(self, bundle):
+        _, _, path = bundle
         manifest_path = path / MANIFEST_NAME
         manifest = json.loads(manifest_path.read_text())
         manifest["schema_version"] = 1
         del manifest["spec"]
         manifest_path.write_text(json.dumps(manifest))
-        loaded = load_framework(path)
-        assert np.array_equal(framework.transform(data), loaded.transform(data))
+        with pytest.raises(SchemaVersionError):
+            read_manifest(path)
+        with pytest.raises(SchemaVersionError):
+            load_framework(path)
 
-    def test_v1_model_bundle_still_loads(self, binary_dataset, tmp_path):
+    def test_v2_bundle_without_spec_is_corrupted(
+        self, bundle, binary_dataset, tmp_path
+    ):
         data, _ = binary_dataset
         model = BernoulliRBM(6, n_epochs=2, random_state=0).fit(data)
-        path = save_model(model, tmp_path / "model")
-        manifest_path = path / MANIFEST_NAME
-        manifest = json.loads(manifest_path.read_text())
-        manifest["schema_version"] = 1
-        del manifest["spec"]
-        manifest_path.write_text(json.dumps(manifest))
-        loaded = load_model(path)
-        assert np.array_equal(model.transform(data), loaded.transform(data))
+        model_path = save_model(model, tmp_path / "model")
+        for path, load in ((bundle[2], load_framework), (model_path, load_model)):
+            manifest_path = path / MANIFEST_NAME
+            manifest = json.loads(manifest_path.read_text())
+            del manifest["spec"]
+            manifest_path.write_text(json.dumps(manifest))
+            with pytest.raises(ArtifactCorruptedError, match="no registry spec"):
+                load(path)
 
     def test_unbuildable_spec_detected(self, bundle):
         from repro.exceptions import ArtifactCorruptedError

@@ -166,17 +166,18 @@ class TestEvaluateGrid:
         assert code == 0
         out = capsys.readouterr().out
         assert "DP" in out and "K-means" in out
-        assert "n_jobs=1" in out
+        assert "sequential" in out
 
     def test_grid_mode_parallel_multiple_datasets(self, capsys):
         code = main([
             "evaluate", "--grid",
             "--suite", "uci", "--dataset", "IR,SH", "--scale", "0.3",
-            "--algorithms", "DP,K-means", "--n-jobs", "2",
+            "--algorithms", "DP,K-means", "--workers", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "n_jobs=2" in out
+        assert "2 datasets x 2 algorithms" in out
+        assert "workers=2" in out
 
     def test_missing_artifact_without_grid_is_an_error(self, capsys):
         code = main(["evaluate", "--suite", "uci", "--dataset", "IR"])
@@ -187,7 +188,7 @@ class TestEvaluateGrid:
 class TestBench:
     def test_smoke_writes_report(self, tmp_path, capsys):
         out = tmp_path / "BENCH_training.json"
-        code = main(["bench", "--smoke", "--out", str(out), "--n-jobs", "2"])
+        code = main(["bench", "--smoke", "--out", str(out)])
         assert code == 0
         import json
 
@@ -196,7 +197,7 @@ class TestBench:
         assert payload["smoke"] is True
         results = payload["results"]
         for section in ("gradient_kernel", "sls_epoch", "density_peaks",
-                        "affinity_propagation", "runner_scaling"):
+                        "affinity_propagation", "distributed_scaling"):
             assert section in results
         assert results["gradient_kernel"]["speedup"] > 0
         assert results["density_peaks"]["labels_identical"] is True
