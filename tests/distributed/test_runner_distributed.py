@@ -89,6 +89,23 @@ class TestLoopbackBitIdentity:
         table = runner.run_suite(mini_suite)
         assert_tables_bit_identical(table, sequential_table)
 
+    def test_run_cell_with_spec_matches_sequential(self, mini_suite):
+        # run_cell queues one cell's repeats; a registry spec given in place
+        # of a table name travels to the workers with them.
+        from repro.experiments.grids import algorithm_spec
+
+        dataset = list(mini_suite)[0]
+        spec = algorithm_spec(
+            "K-means+slsRBM", dataset.n_classes, n_hidden=6, n_epochs=2
+        )
+        sequential = ExperimentRunner(("DP",), **RUNNER_KW).run_cell(dataset, spec)
+        runner = ExperimentRunner(("DP",), **RUNNER_KW, workers=2)
+        distributed = runner.run_cell(dataset, spec)
+        assert distributed.algorithm == sequential.algorithm == "K-means+slsRBM"
+        assert distributed.mean == sequential.mean
+        assert distributed.variance == sequential.variance
+        assert distributed.reports == sequential.reports
+
 
 @pytest.mark.slow
 class TestWorkerLoss:

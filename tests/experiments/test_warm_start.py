@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.datasets.base import Dataset, DatasetSuite
 from repro.datasets.synthetic import make_overlapping_binary_clusters
 from repro.experiments.runner import ExperimentRunner
+from repro.persistence import MANIFEST_NAME
 
 ALGORITHMS = ("K-means", "K-means+slsRBM", "DP+slsRBM")
 SETTINGS = dict(n_hidden=5, n_epochs=2, batch_size=16)
@@ -115,3 +118,22 @@ class TestWarmStart:
         runner.run_suite(suite)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["WM__K-means-slsRBM__r0", "WM__K-means-slsRBM__r1"]
+
+    def test_v1_bundle_falls_back_to_retraining(self, suite, tmp_path):
+        # Schema-v1 bundles are refused on load: the runner retrains and
+        # rewrites them as current bundles, which the next run reuses.
+        cold = ExperimentRunner(ALGORITHMS, artifact_dir=tmp_path, **SETTINGS)
+        cold_table = cold.run_suite(suite)
+        for bundle in tmp_path.iterdir():
+            manifest_path = bundle / MANIFEST_NAME
+            manifest = json.loads(manifest_path.read_text())
+            manifest["schema_version"] = 1
+            del manifest["spec"]
+            manifest_path.write_text(json.dumps(manifest))
+        retrained = ExperimentRunner(ALGORITHMS, artifact_dir=tmp_path, **SETTINGS)
+        retrained_table = retrained.run_suite(suite)
+        assert retrained.n_artifact_hits == 0
+        assert _table_values(retrained_table) == _table_values(cold_table)
+        warm = ExperimentRunner(ALGORITHMS, artifact_dir=tmp_path, **SETTINGS)
+        warm.run_suite(suite)
+        assert warm.n_artifact_hits == 2

@@ -290,6 +290,18 @@ class TestSchemaV2AndBackCompat:
         with pytest.raises(SchemaVersionError):
             load_framework(path)
 
+    def test_v1_model_bundle_refused(self, binary_dataset, tmp_path):
+        data, _ = binary_dataset
+        model = BernoulliRBM(6, n_epochs=2, random_state=0).fit(data)
+        path = save_model(model, tmp_path / "model")
+        manifest_path = path / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema_version"] = 1
+        del manifest["spec"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaVersionError):
+            load_model(path)
+
     def test_v2_bundle_without_spec_is_corrupted(
         self, bundle, binary_dataset, tmp_path
     ):

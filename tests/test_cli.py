@@ -179,6 +179,19 @@ class TestEvaluateGrid:
         assert "2 datasets x 2 algorithms" in out
         assert "workers=2" in out
 
+    def test_journal_without_workers_is_an_error(self, tmp_path, capsys):
+        # A sequential grid keeps no journal; the flag must not be ignored.
+        journal = tmp_path / "grid.jsonl"
+        code = main([
+            "evaluate", "--grid",
+            "--suite", "uci", "--dataset", "IR", "--scale", "0.4",
+            "--algorithms", "DP,K-means", "--journal", str(journal),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "journal requires workers" in err
+        assert not journal.exists()
+
     def test_missing_artifact_without_grid_is_an_error(self, capsys):
         code = main(["evaluate", "--suite", "uci", "--dataset", "IR"])
         assert code == 1
