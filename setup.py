@@ -1,20 +1,11 @@
-"""Setuptools entry point.
+"""Setuptools entry point; all project metadata lives in ``pyproject.toml``.
 
-The offline environment ships setuptools without the ``wheel`` package, so
-PEP 660 editable wheels cannot be built; keeping a ``setup.py`` lets
-``pip install -e .`` fall back to the legacy develop install.  All project
-metadata lives in ``pyproject.toml``.
+Without the ``wheel`` package, pip can build neither a wheel nor a PEP 660
+editable wheel, so ``pip install -e .`` fails offline with ``invalid command
+'bdist_wheel'``.  This file keeps the legacy ``python setup.py develop``
+install available for that case.
 """
 
 from setuptools import setup
 
-setup(
-    entry_points={
-        "console_scripts": [
-            "repro=repro.cli:main",
-            # Dedicated worker entry so remote hosts can join a distributed
-            # grid without shelling through the full CLI dispatcher.
-            "repro-worker=repro.distributed.worker:main",
-        ]
-    },
-)
+setup()

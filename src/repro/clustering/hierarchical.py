@@ -3,12 +3,14 @@
 Not part of the paper's evaluation grid, but an optional extra member of the
 multi-clustering integration ensemble: adding a structurally different base
 clusterer increases the diversity of the partitions fed to unanimous voting.
+
+Needs scipy, which is imported when the clusterer is fitted: numpy is the
+package's only runtime dependency.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from repro.clustering.base import BaseClusterer
 from repro.exceptions import ValidationError
@@ -43,6 +45,8 @@ class AgglomerativeClustering(BaseClusterer):
         return f"Agglomerative({self.linkage})"
 
     def _fit(self, data: np.ndarray) -> None:
+        from scipy.cluster.hierarchy import fcluster, linkage
+
         if self.n_clusters > data.shape[0]:
             raise ValidationError(
                 f"n_clusters={self.n_clusters} exceeds n_samples={data.shape[0]}"

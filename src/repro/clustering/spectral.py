@@ -17,14 +17,14 @@ Two affinity back ends are provided:
 ``affinity="auto"`` (the default) picks dense for small inputs — where the
 exact kernel is cheap and slightly more faithful — and the sparse path above
 ``dense_threshold`` samples.
+
+Both paths need scipy, which is imported when the clusterer is fitted: numpy
+is the package's only runtime dependency.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse import coo_matrix, identity
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from repro.clustering.base import BaseClusterer
 from repro.clustering.kmeans import KMeans
@@ -139,6 +139,8 @@ class SpectralClustering(BaseClusterer):
 
     # ------------------------------------------------------------- dense path
     def _dense_embedding(self, data: np.ndarray, n_samples: int) -> np.ndarray:
+        from scipy.linalg import eigh
+
         squared = pairwise_squared_distances(data)
         if self.gamma is None:
             off_diagonal = squared[~np.eye(n_samples, dtype=bool)]
@@ -188,6 +190,9 @@ class SpectralClustering(BaseClusterer):
         return neighbor_idx, neighbor_sq
 
     def _sparse_embedding(self, data: np.ndarray, n_samples: int) -> np.ndarray:
+        from scipy.sparse import coo_matrix, identity
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
         neighbor_idx, neighbor_sq = self._knn_graph(data, n_samples)
         if self.gamma is None:
             positive = neighbor_sq[neighbor_sq > 0]

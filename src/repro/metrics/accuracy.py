@@ -1,17 +1,18 @@
 """Clustering accuracy (Eq. 36 of the paper).
 
 The predicted cluster identifiers are mapped onto the ground-truth classes by
-the permutation that maximises agreement (solved exactly with the Hungarian
-algorithm on the contingency table), after which the fraction of correctly
-mapped samples is reported.
+the permutation that maximises agreement (solved exactly by a minimum-cost
+assignment on the contingency table,
+:func:`repro.utils.assignment.linear_sum_assignment`), after which the
+fraction of correctly mapped samples is reported.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.metrics.contingency import contingency_matrix, relabel_consecutive
+from repro.utils.assignment import linear_sum_assignment
 from repro.utils.validation import check_labels, check_same_length
 
 __all__ = ["clustering_accuracy", "best_label_mapping"]

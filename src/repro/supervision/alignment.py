@@ -3,17 +3,17 @@
 Different clustering algorithms label the same groups with arbitrary integer
 identifiers.  Before any voting can take place the partitions have to share a
 common labelling; this module aligns each partition to a reference partition
-with the Hungarian algorithm on their contingency table (maximum overlap
-matching).
+by a minimum-cost assignment on their negated contingency table (maximum
+overlap matching, :func:`repro.utils.assignment.linear_sum_assignment`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.exceptions import ValidationError
 from repro.metrics.contingency import contingency_matrix, relabel_consecutive
+from repro.utils.assignment import linear_sum_assignment
 from repro.utils.validation import check_labels, check_same_length
 
 __all__ = ["align_to_reference", "align_partitions"]

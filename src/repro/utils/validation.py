@@ -73,10 +73,18 @@ def check_labels(labels, *, name: str = "labels", n_samples: int | None = None) 
     if arr.size == 0:
         raise ValidationError(f"{name} must not be empty")
     if not np.issubdtype(arr.dtype, np.integer):
-        if np.issubdtype(arr.dtype, np.floating) and np.all(arr == np.round(arr)):
-            arr = arr.astype(int)
-        else:
+        if not np.issubdtype(arr.dtype, np.floating):
             raise ValidationError(f"{name} must contain integers")
+        # A float label is kept only if the int cast returns it unchanged:
+        # fractional, non-finite and out-of-range values would otherwise
+        # truncate or all collapse onto the same int64 minimum.
+        with np.errstate(invalid="ignore"):
+            cast = arr.astype(int)
+        if not np.array_equal(cast, arr):
+            raise ValidationError(
+                f"{name} must contain integers (finite and within the int64 range)"
+            )
+        arr = cast
     if n_samples is not None and arr.shape[0] != n_samples:
         raise ValidationError(
             f"{name} has {arr.shape[0]} entries but {n_samples} samples were expected"

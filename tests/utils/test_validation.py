@@ -58,6 +58,22 @@ class TestCheckLabels:
         with pytest.raises(ValidationError, match="integers"):
             check_labels([0.5, 1.0])
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e20, -1e20])
+    def test_rejects_floats_the_int_cast_would_change(self, value):
+        # Each of these used to cast to the int64 minimum.
+        with pytest.raises(ValidationError, match="integers"):
+            check_labels(np.array([value, 0.0, 1.0]))
+
+    def test_accepts_integral_floats_at_the_int64_edge(self):
+        labels = check_labels(np.array([-(2.0**63), 2.0**62, 0.0]))
+        assert labels.tolist() == [-(2**63), 2**62, 0]
+
+    def test_distinct_out_of_range_labels_are_not_merged(self):
+        from repro.metrics import clustering_accuracy
+
+        with pytest.raises(ValidationError, match="labels_pred"):
+            clustering_accuracy([0, 1, 2], [1e20, -1e20, 0.0])
+
     def test_rejects_2d(self):
         with pytest.raises(ValidationError, match="1-D"):
             check_labels([[0, 1]])
