@@ -309,7 +309,8 @@ def _cmd_evaluate_grid(args: argparse.Namespace) -> int:
     print(
         f"cells: {len(datasets)} datasets x {len(algorithms)} algorithms x "
         f"{args.repeats} repeats, {distribution}, "
-        f"supervision cache hits: {runner.n_supervision_hits}"
+        f"supervision cache hits: {runner.n_supervision_hits}, "
+        f"encoder cache hits: {runner.n_encoder_hits}"
     )
     if runner.n_journal_replayed:
         print(f"journal: {runner.n_journal_replayed} cell(s) replayed from "

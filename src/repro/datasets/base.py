@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -10,7 +11,7 @@ import numpy as np
 from repro.exceptions import DatasetError
 from repro.utils.validation import check_array, check_labels
 
-__all__ = ["Dataset", "DatasetSuite"]
+__all__ = ["Dataset", "DatasetSuite", "dataset_digest"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,26 @@ class Dataset:
             f"Dataset({self.abbreviation}: {self.n_samples} x {self.n_features}, "
             f"{self.n_classes} classes)"
         )
+
+
+def dataset_digest(dataset: Dataset) -> str:
+    """Content digest of a dataset's numerical payload (sha256 hex).
+
+    Canonicalises dtypes the same way
+    :func:`repro.distributed.messages.dataset_from_wire` does (float data,
+    int labels), so the digest a coordinator stamps on a payload matches
+    the digest a worker computes over the *rebuilt* arrays — JSON's exact
+    float round-trip makes the bytes identical.  Names play no part: two
+    datasets with one abbreviation but different contents differ here.
+    """
+    data = np.ascontiguousarray(np.asarray(dataset.data, dtype=float))
+    labels = np.ascontiguousarray(np.asarray(dataset.labels, dtype=int))
+    hasher = hashlib.sha256()
+    for array in (data, labels):
+        hasher.update(str(array.dtype).encode("utf-8"))
+        hasher.update(str(array.shape).encode("utf-8"))
+        hasher.update(array.tobytes())
+    return hasher.hexdigest()
 
 
 class DatasetSuite:

@@ -163,6 +163,11 @@ class GridCoordinator:
     settings : dict
         The runner settings workers execute cells with (the same dict
         :func:`repro.experiments.runner._run_repeat` takes).
+    groups : dict, optional
+        ``cell_id -> group`` for the lease queue's affinity (the runner
+        groups the cells that share a trained encoder).  It travels beside
+        the cell descriptors, not in them, so the journal fingerprint does
+        not depend on it.  Without it the queue is plain FIFO.
     host, port : bind address (port 0 → ephemeral).
     lease_timeout : float
         Seconds without a heartbeat before a worker's cells are re-queued.
@@ -197,6 +202,7 @@ class GridCoordinator:
         datasets: dict,
         settings: dict,
         *,
+        groups: dict | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
         lease_timeout: float = 30.0,
@@ -225,6 +231,7 @@ class GridCoordinator:
             [cell["cell_id"] for cell in cells],
             lease_timeout=lease_timeout,
             clock=clock,
+            groups=groups,
         )
         self.lease_timeout = float(lease_timeout)
         self.retry_policy = RetryPolicy(

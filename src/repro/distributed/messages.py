@@ -13,13 +13,12 @@ from ``GET /dataset`` and cache it for the rest of the run.
 
 from __future__ import annotations
 
-import hashlib
 import traceback
 from pathlib import Path
 
 import numpy as np
 
-from repro.datasets.base import Dataset
+from repro.datasets.base import Dataset, dataset_digest
 from repro.distributed.errors import DatasetIntegrityError, ProtocolError
 from repro.experiments.runner import _RepeatOutcome
 from repro.metrics.report import ClusteringReport
@@ -69,24 +68,6 @@ def json_safe(value):
 
 
 # ------------------------------------------------------------------ datasets
-def dataset_digest(dataset: Dataset) -> str:
-    """Content digest of a dataset's numerical payload (sha256 hex).
-
-    Canonicalises dtypes the same way :func:`dataset_from_wire` does
-    (float data, int labels), so the digest a coordinator stamps on a
-    payload matches the digest a worker computes over the *rebuilt*
-    arrays — JSON's exact float round-trip makes the bytes identical.
-    """
-    data = np.ascontiguousarray(np.asarray(dataset.data, dtype=float))
-    labels = np.ascontiguousarray(np.asarray(dataset.labels, dtype=int))
-    hasher = hashlib.sha256()
-    for array in (data, labels):
-        hasher.update(str(array.dtype).encode("utf-8"))
-        hasher.update(str(array.shape).encode("utf-8"))
-        hasher.update(array.tobytes())
-    return hasher.hexdigest()
-
-
 def dataset_to_wire(dataset: Dataset) -> dict:
     """JSON payload of a labelled dataset (exact float round-trip).
 
@@ -220,24 +201,31 @@ def cell_from_wire(payload: dict) -> dict:
 def outcome_to_wire(outcome: _RepeatOutcome) -> dict:
     """One repeat's result as JSON.
 
-    The in-memory supervision stays on the worker (it is not JSON and the
-    coordinator could not hand it to another host anyway); workers keep their
-    own per-process supervision caches, and only the hit statistics travel.
+    The in-memory supervision and trained encoder stay on the worker (they
+    are not JSON and the coordinator could not hand them to another host
+    anyway); workers keep their own per-process caches, and only the hit
+    statistics travel.
     """
     return {
         "report": outcome.report.to_payload(),
         "artifact_hit": bool(outcome.artifact_hit),
         "supervision_hit": bool(outcome.supervision_hit),
+        "encoder_hit": bool(outcome.encoder_hit),
     }
 
 
 def outcome_from_wire(payload: dict) -> _RepeatOutcome:
-    """Rebuild a :class:`_RepeatOutcome` from :func:`outcome_to_wire`."""
+    """Rebuild a :class:`_RepeatOutcome` from :func:`outcome_to_wire`.
+
+    ``encoder_hit`` is optional: outcomes written before the encoder cache
+    existed (older workers, replayed journals) decode with ``False``.
+    """
     try:
         return _RepeatOutcome(
             report=ClusteringReport.from_payload(payload["report"]),
             artifact_hit=bool(payload["artifact_hit"]),
             supervision_hit=bool(payload["supervision_hit"]),
+            encoder_hit=bool(payload.get("encoder_hit", False)),
         )
     except KeyError as exc:
         raise ProtocolError(f"outcome payload is missing field {exc}") from exc

@@ -17,6 +17,14 @@
   delay pen until its ready time passes, then rejoins the front of the
   pending queue.
 
+Cells may come in *groups* (the cells that share one trained encoder).  A
+worker gains affinity to the group of every cell it leases, and
+:meth:`LeaseQueue.lease` hands it more of that group first, so the worker
+reuses the encoder it already holds; failing that, a cell of a group no
+worker holds; failing that, the first pending cell, so no worker idles
+while work is pending.  Affinity only orders the queue: any cell may still
+run on any worker.
+
 The clock is injectable so the expiry logic is testable deterministically
 (fake-clock tests advance time explicitly); all entry points take one lock,
 as the coordinator's HTTP handler threads call them concurrently.
@@ -30,6 +38,8 @@ from collections import deque
 from dataclasses import dataclass
 
 __all__ = ["CellLease", "LeaseQueue"]
+
+_NO_GROUP = object()
 
 
 @dataclass
@@ -54,6 +64,9 @@ class LeaseQueue:
         or partitioned worker ever lets a lease lapse.
     clock : callable, default time.monotonic
         Monotonic time source (injectable for deterministic tests).
+    groups : mapping of str to hashable, optional
+        Group of every cell id (see the module docstring).  Without it
+        every cell is its own group, and the dispatch order is plain FIFO.
     """
 
     def __init__(
@@ -62,6 +75,7 @@ class LeaseQueue:
         *,
         lease_timeout: float = 30.0,
         clock=time.monotonic,
+        groups=None,
     ) -> None:
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
@@ -73,6 +87,15 @@ class LeaseQueue:
                 raise ValueError(f"duplicate cell id {cell_id!r}")
             self._known.add(cell_id)
             self._pending.append(cell_id)
+        if groups is None:
+            self._groups = {cell_id: cell_id for cell_id in self._known}
+        else:
+            self._groups = {str(k): group for k, group in groups.items()}
+            missing = self._known - set(self._groups)
+            if missing:
+                raise ValueError(f"cells without a group: {sorted(missing)}")
+        #: worker_id -> group of the last cell it leased.
+        self._affinity: dict[str, object] = {}
         self.lease_timeout = float(lease_timeout)
         self._clock = clock
         self._leases: dict[str, CellLease] = {}  # keyed by cell_id
@@ -99,7 +122,8 @@ class LeaseQueue:
         # original relative order) so a recovered grid finishes the oldest
         # work first instead of starting fresh cells.
         for cell_id in reversed(expired):
-            del self._leases[cell_id]
+            lease = self._leases.pop(cell_id)
+            self._affinity.pop(lease.worker_id, None)
             self._pending.appendleft(cell_id)
             self.n_expired_leases += 1
             self.n_requeued += 1
@@ -134,6 +158,21 @@ class LeaseQueue:
             self.n_requeued += 1
         return len(released)
 
+    def _next_locked(self, worker_id: str) -> str:
+        """The pending cell ``worker_id`` should run next: the first of its
+        own group, else the first of a group no worker holds, else the
+        first pending cell."""
+        own = self._affinity.get(worker_id, _NO_GROUP)
+        held = set(self._affinity.values())
+        free = None
+        for cell_id in self._pending:
+            group = self._groups[cell_id]
+            if group == own:
+                return cell_id
+            if free is None and group not in held:
+                free = cell_id
+        return free if free is not None else self._pending[0]
+
     # ------------------------------------------------------------------- API
     def lease(self, worker_id: str) -> str | None:
         """Hand the next pending cell to ``worker_id`` (None when empty).
@@ -141,7 +180,8 @@ class LeaseQueue:
         A worker computes one cell at a time, so a lease it still holds was
         granted by a response it never received (a retried or duplicated
         request); its heartbeats would keep that lease alive for good, so
-        the cell goes back to the front of the queue first.
+        the cell goes back to the front of the queue first.  The worker
+        keeps its affinity, so it is granted that cell again.
         """
         worker_id = str(worker_id)
         with self._lock:
@@ -150,7 +190,9 @@ class LeaseQueue:
             self._release_locked(worker_id)
             if not self._pending:
                 return None
-            cell_id = self._pending.popleft()
+            cell_id = self._next_locked(worker_id)
+            self._pending.remove(cell_id)
+            self._affinity[worker_id] = self._groups[cell_id]
             self._leases[cell_id] = CellLease(
                 cell_id=cell_id,
                 worker_id=worker_id,
@@ -203,9 +245,11 @@ class LeaseQueue:
 
         The retry path for transient failures: the cell's lease (if any) is
         dropped and the cell parks in the delay pen until ``delay`` elapses,
-        then rejoins the *front* of the pending queue.  Returns False (and
-        does nothing) when the cell already completed elsewhere — a stale
-        failure report must not resurrect finished work.
+        then rejoins the *front* of the pending queue.  Every worker's
+        affinity to the cell's group is dropped, so the retry goes to
+        whichever worker asks first.  Returns False (and does nothing) when
+        the cell already completed elsewhere — a stale failure report must
+        not resurrect finished work.
         """
         cell_id = str(cell_id)
         with self._lock:
@@ -220,14 +264,23 @@ class LeaseQueue:
                 self._delayed[cell_id] = self._clock() + float(delay)
             else:
                 self._pending.appendleft(cell_id)
+            group = self._groups[cell_id]
+            self._affinity = {
+                worker: held
+                for worker, held in self._affinity.items()
+                if held != group
+            }
             self.n_requeued += 1
             self.n_retried += 1
             return True
 
     def release(self, worker_id: str) -> int:
-        """Return every lease of a departing worker to the queue now."""
+        """Return every lease of a departing (or quarantined) worker to the
+        queue now, and drop its affinity."""
+        worker_id = str(worker_id)
         with self._lock:
-            return self._release_locked(str(worker_id))
+            self._affinity.pop(worker_id, None)
+            return self._release_locked(worker_id)
 
     def expire_overdue(self) -> list[str]:
         """Re-queue overdue leases; returns the affected cell ids."""

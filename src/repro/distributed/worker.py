@@ -17,9 +17,9 @@ reconnect with capped exponential backoff; SIGTERM/SIGINT finish the cell
 in flight, say goodbye (releasing leases instantly) and exit 0.
 
 Cells execute through the exact machinery of the in-process runner
-(:func:`repro.experiments.runner._run_repeat`) with a per-process
-supervision cache, so a cell computes bit-identical results no matter which
-host it lands on.
+(:func:`repro.experiments.runner._run_repeat`) with a per-process cache of
+supervisions and of the last trained encoder, so a cell computes
+bit-identical results no matter which host it lands on.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from repro.distributed.messages import (
     settings_from_wire,
 )
 from repro.exceptions import ValidationError
+from repro.experiments.runner import _CellCache, _run_repeat
 from repro.serving.wire import (
     JsonHTTPServer,
     JsonRequestHandler,
@@ -128,7 +129,7 @@ class WorkerClient:
         self._settings: dict | None = None
         self._heartbeat_interval = 1.0
         self._datasets: dict[str, object] = {}
-        self._supervision_cache: dict = {}
+        self._cache = _CellCache()
         self.n_cells_done = 0
         self.n_cells_failed = 0
 
@@ -231,8 +232,6 @@ class WorkerClient:
     def _execute(self, cell: dict) -> bool:
         """Run one cell and report it; returns True when the coordinator
         said to stop (this result completed or aborted the grid)."""
-        from repro.experiments.runner import _run_repeat
-
         try:
             # The dataset fetch sits *inside* the try: a transfer that fails
             # its integrity digest (or an OSError mid-download) must reach
@@ -244,7 +243,7 @@ class WorkerClient:
                 cell["algorithm"],
                 cell["repeat"],
                 self._settings,
-                self._supervision_cache,
+                self._cache,
                 label=cell["label"],
             )
         except Exception as exc:  # noqa: BLE001 - reported to the coordinator

@@ -7,6 +7,7 @@ optional repetitions to report the mean and variance of stochastic cells
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import registry
-from repro.datasets.base import Dataset, DatasetSuite
+from repro.datasets.base import Dataset, DatasetSuite, dataset_digest
 from repro.exceptions import PersistenceError, ValidationError
 from repro.experiments.grids import build_algorithm
 from repro.metrics.report import ClusteringReport
@@ -213,10 +214,12 @@ def _artifact_path(
     return artifact_dir / f"{dataset.abbreviation}__{safe}__r{repeat}"
 
 
-def _supervision_key(dataset: Dataset, framework) -> tuple:
+def _supervision_key(digest: str, framework) -> tuple:
+    """Identity of a multi-clustering integration: the dataset's content
+    digest (never its name) plus every setting the supervision reads."""
     config = framework.config
     return (
-        dataset.abbreviation,
+        digest,
         framework.n_clusters,
         config.supervision_preprocessing or config.preprocessing,
         config.clusterers,
@@ -224,6 +227,33 @@ def _supervision_key(dataset: Dataset, framework) -> tuple:
         config.min_agreement,
         config.random_state,
     )
+
+
+def _encoder_key(digest: str, framework) -> str:
+    """Identity of a trained encoder: the dataset's content digest, the
+    cluster count and the full configuration (seed included).  Two cells
+    with one key train bit-identical frameworks."""
+    return json.dumps(
+        [digest, framework.n_clusters, framework.config.as_dict()],
+        sort_keys=True,
+        default=repr,
+    )
+
+
+@dataclass
+class _CellCache:
+    """What one process keeps between the cells it runs.
+
+    ``supervisions`` maps :func:`_supervision_key` to a built supervision.
+    ``encoder`` is one slot, ``(key, framework)``, holding the last encoder
+    this process trained: the runner runs (and the lease queue hands out)
+    the cells that share an encoder back to back, so one slot catches
+    every reuse.  A cell that does not use the slot empties it, so no idle
+    encoder stays in memory while the next one trains.
+    """
+
+    supervisions: dict = field(default_factory=dict)
+    encoder: tuple | None = None
 
 
 def _load_warm_framework(bundle: Path, expected, dataset: Dataset):
@@ -257,6 +287,7 @@ class _RepeatOutcome:
     report: ClusteringReport
     artifact_hit: bool
     supervision_hit: bool
+    encoder_hit: bool = False
 
 
 def _build_spec_cell(spec: dict):
@@ -312,56 +343,76 @@ def _run_repeat(
     algorithm: str | dict,
     repeat: int,
     settings: dict,
-    supervision_cache: dict,
+    cache: _CellCache,
     label: str | None = None,
 ) -> _RepeatOutcome:
     """Evaluate one repeat of one cell.
 
-    Shared by the sequential path (called with the runner's live supervision
-    cache) and the distributed workers (called with a per-process cache; only
-    the hit statistics travel back).  Seeding is identical in both: repeat
-    ``r`` always uses ``random_state + r``.
+    Shared by the sequential path (called with the runner's cache) and the
+    distributed workers (called with a per-process cache; only the hit
+    statistics travel back).  Seeding is identical in both: repeat ``r``
+    always uses ``random_state + r``.
+
+    A framework comes from, in order: the cell's own warm-start bundle,
+    the cache's encoder slot (a cell sharing the last trained encoder
+    runs only ``transform`` and its own clusterer), or a fresh fit that
+    reuses a cached supervision when one matches.
     """
     from repro.persistence import save_framework
 
     pipeline = _build_cell_pipeline(algorithm, dataset, repeat, settings)
     label = label if label is not None else str(algorithm)
     artifact_dir = settings["artifact_dir"]
+    framework = pipeline.framework
     warm = None
-    if pipeline.framework is not None and artifact_dir is not None:
+    if framework is not None and artifact_dir is not None:
         bundle = _artifact_path(artifact_dir, dataset, label, repeat)
-        warm = _load_warm_framework(bundle, pipeline.framework, dataset)
+        warm = _load_warm_framework(bundle, framework, dataset)
         if warm is not None:
             pipeline.framework = warm
 
     supervision = None
-    supervision_hit = False
-    if (
-        warm is None
-        and pipeline.framework is not None
-        and pipeline.framework.config.uses_supervision
-    ):
-        key = _supervision_key(dataset, pipeline.framework)
-        supervision = supervision_cache.get(key)
-        supervision_hit = supervision is not None
+    encoder_hit = False
+    if framework is not None and warm is None:
+        digest = dataset_digest(dataset)
+        encoder_key = _encoder_key(digest, framework)
+        supervision_key = _supervision_key(digest, framework)
+        if cache.encoder is not None and cache.encoder[0] == encoder_key:
+            pipeline.framework = cache.encoder[1]
+            encoder_hit = True
+        elif framework.config.uses_supervision:
+            supervision = cache.supervisions.get(supervision_key)
+    if not encoder_hit:
+        # The slot's group is done in this process: free its encoder
+        # before this cell allocates its own.
+        cache.encoder = None
+    # An sls cell served by the encoder slot builds no supervision either.
+    supervision_hit = supervision is not None or (
+        encoder_hit and framework.config.uses_supervision
+    )
 
+    reused = warm is not None or encoder_hit
     report = pipeline.run(
-        dataset, supervision=supervision, reuse_fitted=warm is not None
+        dataset, supervision=supervision, reuse_fitted=reused
     ).report
 
-    framework = pipeline.framework
     if framework is not None and warm is None:
-        if framework.config.uses_supervision and framework.supervision_ is not None:
-            key = _supervision_key(dataset, framework)
-            supervision_cache.setdefault(key, framework.supervision_)
+        if not encoder_hit:
+            if framework.supervision_ is not None:
+                cache.supervisions.setdefault(
+                    supervision_key, framework.supervision_
+                )
+            cache.encoder = (encoder_key, framework)
         if artifact_dir is not None:
             save_framework(
-                framework, _artifact_path(artifact_dir, dataset, label, repeat)
+                pipeline.framework,
+                _artifact_path(artifact_dir, dataset, label, repeat),
             )
     return _RepeatOutcome(
         report=report,
         artifact_hit=warm is not None,
         supervision_hit=supervision_hit,
+        encoder_hit=encoder_hit,
     )
 
 
@@ -389,10 +440,9 @@ class ExperimentRunner:
         Forwarded to :func:`build_algorithm` (ablation hook).
     artifact_dir : str or Path, optional
         Warm-start directory.  When set, every fitted framework is persisted
-        there (one bundle per dataset/algorithm/repeat) and later runs load
-        the bundle instead of retraining; within one run, the multi-clustering
-        supervision is additionally shared across the sls cells of a dataset
-        that request the identical integration.
+        there (one bundle per dataset/algorithm/repeat, also for cells that
+        reused a shared encoder) and later runs load the bundle instead of
+        retraining.
     workers : int or list of str, optional
         Fan the (dataset, algorithm, repeat) cells out over worker
         processes; ``None`` (the default) runs them sequentially in this
@@ -403,9 +453,11 @@ class ExperimentRunner:
         derives from cell identity, never from arrival order, so the merged
         table is bit-identical to the sequential run — including when a
         worker dies mid-cell and its leases are re-queued.  Workers keep
-        per-process supervision caches, so a distributed run may recompute a
-        supervision that the sequential path would have reused (the
-        recomputation is deterministic and yields the same object).
+        per-process caches, and the lease queue hands a worker the cells
+        of the encoder it trained last, so shared encoders and supervisions
+        are rarely rebuilt; when one is (a retry, or the last cells of a
+        group split across idle workers), the rebuild is deterministic and
+        yields the same features.
     lease_timeout : float, default 30.0
         Distributed mode only: seconds a worker may go silent before its
         leased cells are re-queued to other workers.
@@ -438,7 +490,14 @@ class ExperimentRunner:
     n_artifact_hits : int
         Cells served from a persisted framework bundle instead of retraining.
     n_supervision_hits : int
-        Framework fits that reused an in-memory cached supervision.
+        sls cells that built no supervision: they reused a cached one or
+        the whole trained encoder.
+    n_encoder_hits : int
+        Cells that reused an encoder trained by an earlier cell in the same
+        process instead of training their own.  Cells that share the
+        dataset content, cluster count and framework configuration (seed
+        included) share the encoder, e.g. the DP, K-means and AP columns on
+        one feature family; the runner runs them back to back.
     n_requeued_cells : int
         Distributed runs: leases that expired or were released and went
         back to the queue (worker loss survived).
@@ -515,9 +574,10 @@ class ExperimentRunner:
             quarantine_after, name="quarantine_after"
         )
         self.secret = str(secret) if secret else None
-        self._supervision_cache: dict[tuple, object] = {}
+        self._cache = _CellCache()
         self.n_artifact_hits = 0
         self.n_supervision_hits = 0
+        self.n_encoder_hits = 0
         self.n_requeued_cells = 0
         self.n_duplicate_results = 0
         self.n_retried_cells = 0
@@ -561,6 +621,8 @@ class ExperimentRunner:
                 self.n_artifact_hits += 1
             if outcome.supervision_hit:
                 self.n_supervision_hits += 1
+            if outcome.encoder_hit:
+                self.n_encoder_hits += 1
         reports = [outcome.report for outcome in outcomes]
         mean = {
             metric: float(np.mean([r[metric] for r in reports]))
@@ -579,6 +641,34 @@ class ExperimentRunner:
             reports=tuple(reports),
         )
 
+    def _encoder_groups(
+        self, pairs: list[tuple[Dataset, str]], settings: dict
+    ) -> dict[tuple[int, int], int]:
+        """Encoder group of every ``(pair index, repeat)`` cell.
+
+        Cells that would train the same encoder (see :func:`_encoder_key`)
+        share a group; a cell without an encoder is a group of its own.
+        Group ids count up in cell order, so sorting cells by group keeps
+        the grid order within and between groups.
+        """
+        digests: dict[int, str] = {}
+        ids: dict = {}
+        groups = {}
+        for index, (dataset, algorithm) in enumerate(pairs):
+            entry = self._algorithms.get(algorithm, algorithm)
+            for repeat in range(self.n_repeats):
+                framework = _build_cell_pipeline(
+                    entry, dataset, repeat, settings
+                ).framework
+                if framework is None:
+                    key = (index, repeat)
+                else:
+                    if id(dataset) not in digests:
+                        digests[id(dataset)] = dataset_digest(dataset)
+                    key = _encoder_key(digests[id(dataset)], framework)
+                groups[index, repeat] = ids.setdefault(key, len(ids))
+        return groups
+
     def _evaluate_cells_distributed(
         self, pairs: list[tuple[Dataset, str]]
     ) -> list[ExperimentCell]:
@@ -589,7 +679,10 @@ class ExperimentRunner:
         standby workers.  Outcomes are re-assembled in grid order — cell
         ``(pair i, repeat r)`` always lands at the same position no matter
         which worker computed it or how often it was re-queued — so the
-        merged table is bit-identical to the sequential run.
+        merged table is bit-identical to the sequential run.  The lease
+        queue gets the cells' encoder groups on the side, so the cell
+        descriptors (and with them the journal fingerprint) stay as they
+        were.
         """
         from repro.distributed.coordinator import (
             GridCoordinator,
@@ -619,10 +712,17 @@ class ExperimentRunner:
                     }
                 )
 
+        groups = {
+            f"{index}:{repeat}": group
+            for (index, repeat), group in self._encoder_groups(
+                pairs, settings
+            ).items()
+        }
         coordinator = GridCoordinator(
             cells,
             datasets,
             settings,
+            groups=groups,
             host=self.coordinator_host,
             lease_timeout=self.lease_timeout,
             journal=self.journal,
@@ -686,26 +786,35 @@ class ExperimentRunner:
         self, pairs: list[tuple[Dataset, str]]
     ) -> list[ExperimentCell]:
         """Evaluate (dataset, algorithm) pairs: sequentially, or distributed
-        over workers."""
+        over workers.
+
+        The sequential loop runs the cells of one encoder group back to
+        back, so the cache's single encoder slot serves the whole group,
+        and assembles the table by position, as the distributed path does.
+        """
         if self.workers is not None:
             return self._evaluate_cells_distributed(pairs)
         settings = self._settings()
-        cells = []
-        for dataset, algorithm in pairs:
-            entry = self._algorithms.get(algorithm, algorithm)
-            outcomes = [
-                _run_repeat(
-                    dataset,
-                    entry,
-                    repeat,
-                    settings,
-                    self._supervision_cache,
-                    label=algorithm,
-                )
-                for repeat in range(self.n_repeats)
-            ]
-            cells.append(self._merge_cell(dataset, algorithm, outcomes))
-        return cells
+        groups = self._encoder_groups(pairs, settings)
+        outcomes = {}
+        for index, repeat in sorted(groups, key=groups.__getitem__):
+            dataset, algorithm = pairs[index]
+            outcomes[index, repeat] = _run_repeat(
+                dataset,
+                self._algorithms.get(algorithm, algorithm),
+                repeat,
+                settings,
+                self._cache,
+                label=algorithm,
+            )
+        return [
+            self._merge_cell(
+                dataset,
+                algorithm,
+                [outcomes[index, repeat] for repeat in range(self.n_repeats)],
+            )
+            for index, (dataset, algorithm) in enumerate(pairs)
+        ]
 
     # --------------------------------------------------------------------- API
     def run_cell(self, dataset: Dataset, algorithm: str | dict) -> ExperimentCell:

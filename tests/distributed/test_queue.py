@@ -8,6 +8,8 @@ the suite never sleeps and never races.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import CellLease, LeaseQueue
 
@@ -218,3 +220,152 @@ class TestFullLifecycle:
         assert counters["n_completed"] == 4
         assert counters["n_requeued"] == 1
         assert counters["n_duplicates"] == 0
+
+
+def make_grouped_queue(clock, groups, lease_timeout=10.0):
+    return LeaseQueue(
+        list(groups), lease_timeout=lease_timeout, clock=clock, groups=groups
+    )
+
+
+class TestAffinity:
+    """Cells sharing a group (a trained encoder) go to the worker that
+    leased that group last; everything else keeps the FIFO rules above."""
+
+    def test_groups_must_cover_every_cell(self, clock):
+        with pytest.raises(ValueError, match="cells without a group"):
+            LeaseQueue(["a", "b"], clock=clock, groups={"a": 0})
+
+    def test_own_group_before_the_queue_front(self, clock):
+        queue = make_grouped_queue(clock, {"a1": "A", "b1": "B", "a2": "A"})
+        assert queue.lease("w1") == "a1"
+        assert queue.complete("a1", "w1") is True
+        # "b1" is at the front, but w1 holds group A.
+        assert queue.lease("w1") == "a2"
+        assert queue.complete("a2", "w1") is True
+        assert queue.lease("w1") == "b1"
+
+    def test_free_group_before_a_held_one(self, clock):
+        queue = make_grouped_queue(clock, {"a1": "A", "a2": "A", "b1": "B"})
+        assert queue.lease("w1") == "a1"
+        # w2 holds nothing; "a2" belongs to w1's group, "b1" to no one's.
+        assert queue.lease("w2") == "b1"
+        assert queue.complete("a1", "w1") is True
+        assert queue.lease("w1") == "a2"
+
+    def test_fifo_fallback_when_every_group_is_held(self, clock):
+        queue = make_grouped_queue(
+            clock, {"a1": "A", "a2": "A", "b1": "B", "b2": "B"}
+        )
+        assert queue.lease("w1") == "a1"
+        assert queue.lease("w2") == "b1"
+        # Both groups are held: w3 does not idle, it takes the front cell
+        # and now holds group A as well.
+        assert queue.lease("w3") == "a2"
+        assert queue._affinity == {"w1": "A", "w2": "B", "w3": "A"}
+        assert queue.lease("w4") == "b2"
+
+    def test_release_drops_affinity(self, clock):
+        queue = make_grouped_queue(clock, {"a1": "A", "a2": "A", "b1": "B"})
+        assert queue.lease("w1") == "a1"
+        assert queue.complete("a1", "w1") is True
+        assert queue.release("w1") == 0  # bye (or quarantine)
+        # Group A is free again, so w2 gets the front cell.
+        assert queue.lease("w2") == "a2"
+        assert "w1" not in queue._affinity
+
+    def test_expiry_drops_affinity(self, clock):
+        queue = make_grouped_queue(
+            clock, {"a1": "A", "a2": "A", "b1": "B"}, lease_timeout=5.0
+        )
+        assert queue.lease("w1") == "a1"
+        clock.advance(6.0)
+        assert queue.expire_overdue() == ["a1"]
+        assert "w1" not in queue._affinity
+        assert queue.lease("w2") == "a1"
+        assert queue.lease("w3") == "b1"  # A is held by w2 now
+
+    def test_requeue_drops_every_holder_of_the_group(self, clock):
+        queue = make_grouped_queue(
+            clock, {"a1": "A", "a2": "A", "a3": "A", "b1": "B"}
+        )
+        assert queue.lease("w1") == "a1"
+        assert queue.lease("w2") == "b1"
+        assert queue.complete("b1", "w2") is True
+        assert queue.lease("w2") == "a2"  # FIFO fallback: w2 holds A too
+        assert queue.requeue("a1") is True
+        # The retry runs on whichever worker asks first.
+        assert queue._affinity == {}
+        assert queue.lease("w3") == "a1"
+
+    def test_stale_requeue_keeps_affinity(self, clock):
+        queue = make_grouped_queue(clock, {"a1": "A", "a2": "A", "b1": "B"})
+        assert queue.lease("w1") == "a1"
+        assert queue.complete("a1", "w1") is True
+        assert queue.requeue("a1") is False  # already completed
+        assert queue._affinity == {"w1": "A"}
+
+    def test_duplicate_grant_keeps_affinity(self, clock):
+        queue = make_grouped_queue(clock, {"a1": "A", "a2": "A", "b1": "B"})
+        assert queue.lease("w1") == "a1"
+        # The grant was lost: the held lease is released and granted again.
+        assert queue.lease("w1") == "a1"
+        assert queue.n_requeued == 1
+        assert queue._affinity == {"w1": "A"}
+        assert queue.lease("w2") == "b1"
+
+    def test_one_worker_runs_group_by_group(self, clock):
+        groups = {"x": 0, "a1": 1, "b1": 2, "a2": 1, "b2": 2, "a3": 1}
+        queue = make_grouped_queue(clock, groups)
+        order = []
+        while (cell_id := queue.lease("w1")) is not None:
+            order.append(cell_id)
+            assert queue.complete(cell_id, "w1") is True
+        assert order == ["x", "a1", "a2", "a3", "b1", "b2"]
+        assert queue.done
+
+
+class _FifoQueue(LeaseQueue):
+    """The lease order before groups existed: always the front cell."""
+
+    def _next_locked(self, worker_id):
+        return self._pending[0]
+
+
+_WORKERS = st.sampled_from(["w1", "w2", "w3"])
+_CELLS = st.sampled_from(["a", "b", "c", "d", "e"])
+_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("lease"), _WORKERS),
+        st.tuples(st.just("complete"), _CELLS, _WORKERS),
+        st.tuples(st.just("heartbeat"), _WORKERS),
+        st.tuples(st.just("release"), _WORKERS),
+        st.tuples(st.just("requeue"), _CELLS, st.sampled_from([0.0, 2.0])),
+        st.tuples(st.just("advance"), st.sampled_from([1.0, 3.0, 6.0])),
+        st.tuples(st.just("expire_overdue")),
+    ),
+    max_size=60,
+)
+
+
+class TestNoGroupMapKeepsFifo:
+    @settings(max_examples=300, deadline=None)
+    @given(operations=_OPERATIONS)
+    def test_same_results_as_the_fifo_queue(self, operations):
+        clock = FakeClock()
+        cells = ["a", "b", "c", "d", "e"]
+        queue = LeaseQueue(cells, lease_timeout=5.0, clock=clock)
+        fifo = _FifoQueue(cells, lease_timeout=5.0, clock=clock)
+        for name, *args in operations:
+            if name == "advance":
+                clock.advance(*args)
+                continue
+            if name == "requeue":
+                cell_id, delay = args
+                assert queue.requeue(cell_id, delay=delay) == fifo.requeue(
+                    cell_id, delay=delay
+                )
+            else:
+                assert getattr(queue, name)(*args) == getattr(fifo, name)(*args)
+            assert queue.counters() == fifo.counters()
+            assert list(queue._pending) == list(fifo._pending)

@@ -179,6 +179,20 @@ class TestEvaluateGrid:
         assert "2 datasets x 2 algorithms" in out
         assert "workers=2" in out
 
+    @pytest.mark.parametrize("workers", [[], ["--workers", "1"]])
+    def test_grid_summary_counts_encoder_cache_hits(self, capsys, workers):
+        # Both sls columns share one encoder, so the second one is a cache
+        # hit, on a single worker too.  (With two workers the idle one may
+        # take the second sls cell and train the encoder again.)
+        code = main([
+            "evaluate", "--grid",
+            "--suite", "uci", "--dataset", "IR", "--scale", "0.4",
+            "--algorithms", "DP,K-means+slsRBM,DP+slsRBM",
+            "--epochs", "2", "--n-hidden", "4", *workers,
+        ])
+        assert code == 0
+        assert "encoder cache hits: 1" in capsys.readouterr().out
+
     def test_journal_without_workers_is_an_error(self, tmp_path, capsys):
         # A sequential grid keeps no journal; the flag must not be ignored.
         journal = tmp_path / "grid.jsonl"
