@@ -11,7 +11,7 @@ import numpy as np
 from repro.exceptions import DatasetError
 from repro.utils.validation import check_array, check_labels
 
-__all__ = ["Dataset", "DatasetSuite", "dataset_digest"]
+__all__ = ["Dataset", "DatasetSuite", "content_digest", "dataset_digest"]
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,24 @@ class Dataset:
 def dataset_digest(dataset: Dataset) -> str:
     """Content digest of a dataset's numerical payload (sha256 hex).
 
+    Names play no part: two datasets with one abbreviation but different
+    contents differ here.  See :func:`content_digest`.
+    """
+    return content_digest(dataset.data, dataset.labels)
+
+
+def content_digest(data, labels) -> str:
+    """sha256 hex of a ``(data, labels)`` pair, as :func:`dataset_digest`.
+
     Canonicalises dtypes the same way
     :func:`repro.distributed.messages.dataset_from_wire` does (float data,
     int labels), so the digest a coordinator stamps on a payload matches
-    the digest a worker computes over the *rebuilt* arrays — JSON's exact
-    float round-trip makes the bytes identical.  Names play no part: two
-    datasets with one abbreviation but different contents differ here.
+    the digest a worker computes over the rebuilt arrays, which hold the
+    sender's bytes.  The worker checks it before it builds a
+    :class:`Dataset` from them.
     """
-    data = np.ascontiguousarray(np.asarray(dataset.data, dtype=float))
-    labels = np.ascontiguousarray(np.asarray(dataset.labels, dtype=int))
+    data = np.ascontiguousarray(np.asarray(data, dtype=float))
+    labels = np.ascontiguousarray(np.asarray(labels, dtype=int))
     hasher = hashlib.sha256()
     for array in (data, labels):
         hasher.update(str(array.dtype).encode("utf-8"))

@@ -18,15 +18,18 @@ Routes (all JSON; the plumbing is :mod:`repro.serving.wire`)
 ``POST /cell/result``      ``{worker_id, cell_id, outcome}`` →
     ``{"accepted": bool}`` (false: a duplicate of an already-merged cell).
 ``POST /cell/error``       ``{worker_id, cell_id, kind, error}`` →
-    records the remote failure.  Transient failures (see
+    records the remote failure of a cell of this grid (400 for a missing
+    id or an unknown cell).  Transient failures (see
     :func:`repro.resilience.classify_failure`) re-queue the cell with
     backoff up to ``max_cell_retries``; deterministic ones — or transient
     ones past the retry budget — abort the grid (they would fail on every
     retry).
 ``POST /worker/heartbeat`` ``{worker_id}`` → renews the worker's leases.
 ``POST /worker/bye``       ``{worker_id}`` → releases its leases instantly.
-``GET  /dataset/<abbr>``   → the dataset matrix (workers cache it per grid,
-    verifying its sha256 digest before trusting the copy).
+``GET  /dataset/<abbr>``   → the dataset: matrix and labels as their raw
+    little-endian bytes, base64 text inside the JSON object (see
+    :func:`repro.distributed.messages.dataset_to_wire`).  Workers cache it
+    per grid, verifying its sha256 digest before trusting the copy.
 ``GET  /status`` / ``GET /healthz`` → queue counters / liveness.
 
 Resilience:
@@ -44,7 +47,8 @@ Resilience:
 
 Determinism: results are keyed by cell id and later read back in the
 *grid's* order, never in arrival order, and every float crosses the wire
-bit-exactly — so the merged table is identical to the sequential run no
+bit-exactly (datasets as the matrix's own bytes, reports as shortest-repr
+JSON numbers) — so the merged table is identical to the sequential run no
 matter how cells interleave, expire, retry or duplicate.
 """
 
@@ -398,14 +402,21 @@ class GridCoordinator:
         }
 
     def handle_error(self, request: dict) -> dict:
-        worker_id = str(request.get("worker_id") or "?")
-        cell_id = str(request.get("cell_id") or "?")
+        worker_id = str(request.get("worker_id") or "")
+        cell_id = str(request.get("cell_id") or "")
+        if not worker_id or not cell_id:
+            raise ValidationError("error report requires worker_id and cell_id")
+        # Validated before anything is counted: a report naming no cell of
+        # this grid must not strike the worker or abort the grid.  A known
+        # cell the worker no longer holds is still a real failure report.
+        if cell_id not in self._cells:
+            raise ValidationError(f"unknown cell id {cell_id!r}")
         error = str(request.get("error") or "unknown error")
         kind = str(request.get("kind") or "")
         transient = classify_failure(kind, error)
         n_failures = self._cell_failures.get(cell_id, 0) + 1
         self._cell_failures[cell_id] = n_failures
-        if self.journal is not None and cell_id in self._cells:
+        if self.journal is not None:
             self.journal.record_error(
                 cell_id,
                 worker_id=worker_id,
@@ -421,11 +432,7 @@ class GridCoordinator:
                     f"({released} lease(s) re-queued)"
                 )
         retried = False
-        if (
-            transient
-            and cell_id in self._cells
-            and self.retry_policy.allows(n_failures)
-        ):
+        if transient and self.retry_policy.allows(n_failures):
             # requeue() returning False means the cell already completed on
             # another worker or is already queued for retry — either way
             # the failure is absorbed, not fatal.

@@ -1,9 +1,13 @@
 """Wire formats of the coordinator/worker protocol.
 
-Every message is a JSON object.  Numbers round-trip bit-exactly through
-Python's JSON encoder (shortest-repr floats), which is what lets a
-distributed grid reproduce the sequential run to the last bit: datasets,
-settings and metric reports all cross the wire without loss.
+Every message is a JSON object, and every value crosses the wire without
+loss, which is what lets a distributed grid reproduce the sequential run to
+the last bit.  Settings and metric reports travel as JSON numbers, which
+round-trip bit-exactly through Python's shortest-repr float encoding.  A
+dataset's matrix and labels travel as their own little-endian bytes
+(base64 text inside the JSON object, with dtype and shape), so the worker
+rebuilds the sender's arrays byte for byte without formatting or parsing a
+decimal per element.
 
 The cell descriptor deliberately references its dataset by abbreviation
 instead of embedding the matrix: a grid leases the same dataset to a worker
@@ -13,12 +17,14 @@ from ``GET /dataset`` and cache it for the rest of the run.
 
 from __future__ import annotations
 
+import base64
+import math
 import traceback
 from pathlib import Path
 
 import numpy as np
 
-from repro.datasets.base import Dataset, dataset_digest
+from repro.datasets.base import Dataset, content_digest, dataset_digest
 from repro.distributed.errors import DatasetIntegrityError, ProtocolError
 from repro.experiments.runner import _RepeatOutcome
 from repro.metrics.report import ClusteringReport
@@ -41,7 +47,8 @@ __all__ = [
 
 #: Bumped on any incompatible message change; coordinator and worker refuse
 #: to pair across versions (a silent mismatch could corrupt a grid).
-PROTOCOL_VERSION = 1
+#: Version 2 carries datasets as raw bytes instead of JSON number lists.
+PROTOCOL_VERSION = 2
 
 
 def check_protocol(payload: dict, *, side: str) -> None:
@@ -68,50 +75,122 @@ def json_safe(value):
 
 
 # ------------------------------------------------------------------ datasets
-def dataset_to_wire(dataset: Dataset) -> dict:
-    """JSON payload of a labelled dataset (exact float round-trip).
+#: Wire dtype and rank of each array of a dataset payload.
+_DATASET_ARRAYS = {"data": ("<f8", 2), "labels": ("<i8", 1)}
 
-    Carries a sha256 content digest so the receiving worker can prove the
+
+def dataset_to_wire(dataset: Dataset) -> dict:
+    """JSON payload of a labelled dataset (the arrays' exact bytes).
+
+    ``data`` and ``labels`` each become ``{dtype, shape, bytes}``: the
+    array as little-endian float64 / int64 bytes, base64-encoded.  A sha256
+    content digest rides along so the receiving worker can prove the
     matrix survived the transfer before caching it for the whole grid.
     """
     return {
         "name": dataset.name,
         "abbreviation": dataset.abbreviation,
-        "data": dataset.data.tolist(),
-        "labels": dataset.labels.tolist(),
+        "data": _array_to_wire(dataset.data, "data"),
+        "labels": _array_to_wire(dataset.labels, "labels"),
         "metadata": json_safe(dataset.metadata),
         "digest": dataset_digest(dataset),
     }
 
 
+def _array_to_wire(array: np.ndarray, field: str) -> dict:
+    dtype, _ = _DATASET_ARRAYS[field]
+    array = np.ascontiguousarray(array, dtype=dtype)
+    return {
+        "dtype": dtype,
+        "shape": list(array.shape),
+        "bytes": base64.b64encode(array).decode("ascii"),
+    }
+
+
+def _array_from_wire(payload: dict, field: str) -> np.ndarray:
+    """One array of a dataset payload, rebuilt writable from its bytes."""
+    dtype, ndim = _DATASET_ARRAYS[field]
+    wire = payload[field]
+    if not isinstance(wire, dict):
+        raise ProtocolError(
+            f"dataset field {field!r} must be an object with dtype, shape "
+            f"and bytes, got {type(wire).__name__}"
+        )
+    try:
+        tag, shape, text = wire["dtype"], wire["shape"], wire["bytes"]
+    except KeyError as exc:
+        raise ProtocolError(
+            f"dataset payload is missing field '{field}.{exc.args[0]}'"
+        ) from exc
+    if tag != dtype:
+        raise ProtocolError(
+            f"dataset field {field!r} has dtype {tag!r}, expected {dtype!r}"
+        )
+    if (
+        not isinstance(shape, list)
+        or len(shape) != ndim
+        or not all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise ProtocolError(
+            f"dataset field {field!r} needs a shape of {ndim} non-negative "
+            f"ints, got {shape!r}"
+        )
+    if not isinstance(text, str):
+        raise ProtocolError(
+            f"dataset field {field!r} must carry its bytes as base64 text, "
+            f"got {type(text).__name__}"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise DatasetIntegrityError(
+            f"dataset field {field!r} is not valid base64 ({exc}); re-fetch"
+        ) from exc
+    # Python ints: a hostile shape cannot overflow the expected size.
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != expected:
+        raise DatasetIntegrityError(
+            f"dataset field {field!r} carries {len(raw)} bytes, shape "
+            f"{shape} needs {expected} (truncated or padded; re-fetch)"
+        )
+    # frombuffer over bytes would be read-only, and Dataset keeps the array
+    # it is given; a bytearray makes it writable.
+    return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
+
+
 def dataset_from_wire(payload: dict) -> Dataset:
     """Rebuild a :class:`Dataset` from :func:`dataset_to_wire` output.
 
-    When the payload carries a ``digest``, the rebuilt arrays are hashed
-    and compared; a mismatch raises :class:`DatasetIntegrityError` (a
-    *transient* failure — re-fetching is expected to succeed).  Payloads
-    without a digest are accepted for compatibility with older peers.
+    The rebuilt arrays are hashed and compared with the payload's
+    ``digest`` before the dataset is built.  A mismatch, base64 that does
+    not decode, or a byte count that does not fit the shape raises
+    :class:`DatasetIntegrityError` (a *transient* failure — re-fetching is
+    expected to succeed).  A missing field, including the digest, an
+    unexpected dtype tag or a shape of the wrong rank raises
+    :class:`ProtocolError`.
     """
     try:
-        dataset = Dataset(
-            name=str(payload["name"]),
-            abbreviation=str(payload["abbreviation"]),
-            data=np.asarray(payload["data"], dtype=float),
-            labels=np.asarray(payload["labels"], dtype=int),
-            metadata=dict(payload.get("metadata", {})),
-        )
+        name = str(payload["name"])
+        abbreviation = str(payload["abbreviation"])
+        expected = str(payload["digest"])
+        data = _array_from_wire(payload, "data")
+        labels = _array_from_wire(payload, "labels")
     except KeyError as exc:
         raise ProtocolError(f"dataset payload is missing field {exc}") from exc
-    expected = payload.get("digest")
-    if expected is not None:
-        actual = dataset_digest(dataset)
-        if actual != str(expected):
-            raise DatasetIntegrityError(
-                f"dataset {dataset.abbreviation!r} failed its integrity "
-                f"check: digest {actual} != advertised {expected} "
-                f"(corrupted in transit; re-fetch)"
-            )
-    return dataset
+    actual = content_digest(data, labels)
+    if actual != expected:
+        raise DatasetIntegrityError(
+            f"dataset {abbreviation!r} failed its integrity check: digest "
+            f"{actual} != advertised {expected} (corrupted in transit; "
+            f"re-fetch)"
+        )
+    return Dataset(
+        name=name,
+        abbreviation=abbreviation,
+        data=data,
+        labels=labels,
+        metadata=dict(payload.get("metadata", {})),
+    )
 
 
 # -------------------------------------------------------------------- errors

@@ -19,7 +19,11 @@ from repro.distributed import (
     DistributedError,
     GridCoordinator,
 )
-from repro.distributed.messages import PROTOCOL_VERSION
+from repro.distributed.messages import (
+    PROTOCOL_VERSION,
+    dataset_digest,
+    dataset_from_wire,
+)
 from repro.exceptions import ValidationError
 from repro.serving.wire import request_json
 
@@ -220,6 +224,38 @@ class TestFailureAndDrain:
         _, body = call(coordinator, "POST", "/cell/lease", {"worker_id": "w2"})
         assert body == {"stop": True}
 
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ({"worker_id": "w1", "cell_id": "nope", "kind": "ValueError",
+              "error": "stray"}, "unknown cell id 'nope'"),
+            ({"worker_id": "w1"}, "requires worker_id and cell_id"),
+            ({"cell_id": "0:0", "kind": "ValueError", "error": "anonymous"},
+             "requires worker_id and cell_id"),
+        ],
+    )
+    def test_stray_error_report_is_400_and_harmless(
+        self, coordinator, report, message
+    ):
+        status, body = call(coordinator, "POST", "/cell/error", report)
+        assert status == 400
+        assert message in body["error"]
+        assert coordinator.describe()["failed"] is False
+        assert coordinator.breaker.strikes("w1") == 0
+        # The grid is untouched: both cells lease, complete and merge.
+        for _ in range(2):
+            _, body = call(
+                coordinator, "POST", "/cell/lease", {"worker_id": "w1"}
+            )
+            call(
+                coordinator,
+                "POST",
+                "/cell/result",
+                {"worker_id": "w1", "cell_id": body["cell"]["cell_id"],
+                 "outcome": OUTCOME},
+            )
+        assert set(coordinator.wait(timeout=5.0)) == {"0:0", "0:1"}
+
     def test_drain_stops_leases_and_raises(self, coordinator):
         coordinator.drain()
         _, body = call(coordinator, "POST", "/cell/lease", {"worker_id": "w1"})
@@ -304,9 +340,10 @@ class TestGetRoutes:
         status, body = call(coordinator, "GET", "/dataset/IR")
         assert status == 200
         dataset = make_dataset()
-        np.testing.assert_array_equal(
-            np.asarray(body["data"]), dataset.data
-        )
+        fetched = dataset_from_wire(body)
+        np.testing.assert_array_equal(fetched.data, dataset.data)
+        np.testing.assert_array_equal(fetched.labels, dataset.labels)
+        assert body["digest"] == dataset_digest(fetched) == dataset_digest(dataset)
 
     def test_unknown_dataset_is_404(self, coordinator):
         status, body = call(coordinator, "GET", "/dataset/NOPE")

@@ -17,11 +17,7 @@ import pytest
 from repro.datasets.base import Dataset, DatasetSuite
 from repro.datasets.msra_mm import load_msra_mm_dataset
 from repro.distributed import GridCoordinator
-from repro.distributed.messages import (
-    PROTOCOL_VERSION,
-    outcome_from_wire,
-    outcome_to_wire,
-)
+from repro.distributed.messages import outcome_from_wire, outcome_to_wire
 from repro.exceptions import ValidationError
 from repro.experiments.grids import DATASETS_I_ALGORITHMS
 from repro.experiments.runner import (
@@ -87,8 +83,6 @@ class TestOutcomeWire:
         outcome = outcome_from_wire(OLD_OUTCOME)
         assert outcome.encoder_hit is False
         assert outcome.supervision_hit is True
-        # Adding an optional field needs no new protocol version.
-        assert PROTOCOL_VERSION == 1
 
     def test_encoder_hit_round_trips(self):
         payload = outcome_to_wire(
