@@ -89,6 +89,11 @@ from repro.serving.wire import (
 
 __all__ = ["GridCoordinator", "coordinator_signal_drain"]
 
+#: Longest :meth:`GridCoordinator.dismiss` waits for workers to say bye.
+_DISMISS_TIMEOUT = 1.0
+#: Poll period of the serve loop's stop check and of the dismiss wait.
+_POLL = 0.01
+
 
 class _CoordinatorRequestHandler(JsonRequestHandler):
     server_version = "repro-coordinator/1.0"
@@ -160,16 +165,20 @@ class GridCoordinator:
     ----------
     cells : list of dict
         Cell descriptors (``cell_id``, ``dataset_ref``, ``algorithm``,
-        ``label``, ``repeat``) in dispatch order; see
-        :func:`repro.distributed.messages.cell_to_wire`.
+        ``label``, ``repeat``) in grid order, the order the journal
+        fingerprint hashes; see
+        :func:`repro.distributed.messages.cell_to_wire`.  Without
+        ``groups`` they are also dispatched in this order.
     datasets : dict
         ``abbreviation -> Dataset`` for every ``dataset_ref`` used.
     settings : dict
         The runner settings workers execute cells with (the same dict
         :func:`repro.experiments.runner._run_repeat` takes).
     groups : dict, optional
-        ``cell_id -> group`` for the lease queue's affinity (the runner
-        groups the cells that share a trained encoder).  It travels beside
+        ``cell_id -> group key`` for the lease queue: cells are dispatched
+        in ascending key order, and a worker gets more of the group it
+        leased last (the runner groups the cells that share a trained
+        encoder and ranks the longest groups first).  It travels beside
         the cell descriptors, not in them, so the journal fingerprint does
         not depend on it.  Without it the queue is plain FIFO.
     host, port : bind address (port 0 → ephemeral).
@@ -294,11 +303,35 @@ class GridCoordinator:
         """Serve in a background thread; returns self."""
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            # How often the loop checks for stop(): after dismiss() no
+            # connection comes in to wake it sooner.
+            kwargs={"poll_interval": _POLL},
             name="repro-coordinator",
             daemon=True,
         )
         self._thread.start()
         return self
+
+    def dismiss(self, *, gone=None) -> None:
+        """Tell every worker to stop, and keep serving until they are gone.
+
+        A worker learns of the stop at its next exchange (an idle one at its
+        next lease poll) and says bye.  Stopping the server first would
+        leave a worker that was never told to stop retrying a vanished
+        coordinator for its whole backoff, and a standby worker refusing
+        the next grid meanwhile.  Gone means every registered worker has
+        said bye, or ``gone()`` is true when given (the runner passes "no
+        loopback worker process is alive", which also covers one that has
+        not registered yet and one that died).  The wait is bounded by one
+        second, so a worker that died without a bye costs at most that.
+        """
+        self.drain()
+        if gone is None:
+            def gone():
+                return not self._workers
+        deadline = time.monotonic() + _DISMISS_TIMEOUT
+        while not gone() and time.monotonic() < deadline:
+            time.sleep(_POLL)
 
     def stop(self) -> None:
         """Shut the server down, close the journal, join the thread."""

@@ -18,12 +18,14 @@
   pending queue.
 
 Cells may come in *groups* (the cells that share one trained encoder).  A
-worker gains affinity to the group of every cell it leases, and
-:meth:`LeaseQueue.lease` hands it more of that group first, so the worker
-reuses the encoder it already holds; failing that, a cell of a group no
-worker holds; failing that, the first pending cell, so no worker idles
-while work is pending.  Affinity only orders the queue: any cell may still
-run on any worker.
+group map also sets the dispatch order: pending cells start sorted by
+group key, so a caller that ranks its costliest groups first gets them
+leased first.  A worker gains affinity to the group of every cell it
+leases, and :meth:`LeaseQueue.lease` hands it more of that group first, so
+the worker reuses the encoder it already holds; failing that, a cell of a
+group no worker holds; failing that, the first pending cell, so no worker
+idles while work is pending.  Affinity only orders the queue: any cell may
+still run on any worker.
 
 The clock is injectable so the expiry logic is testable deterministically
 (fake-clock tests advance time explicitly); all entry points take one lock,
@@ -57,7 +59,8 @@ class LeaseQueue:
     Parameters
     ----------
     cell_ids : iterable of str
-        The work items, in dispatch order.
+        The work items.  Without ``groups`` they are dispatched in this
+        order; with it, this order breaks ties between cells of one key.
     lease_timeout : float
         Seconds a lease survives without a heartbeat before its cell is
         re-queued.  Workers heartbeat at a fraction of this, so only a dead
@@ -65,7 +68,9 @@ class LeaseQueue:
     clock : callable, default time.monotonic
         Monotonic time source (injectable for deterministic tests).
     groups : mapping of str to hashable, optional
-        Group of every cell id (see the module docstring).  Without it
+        Group key of every cell id (see the module docstring).  Pending
+        cells are dispatched in ascending key order, a stable sort of
+        ``cell_ids``, so the keys must be mutually comparable.  Without it
         every cell is its own group, and the dispatch order is plain FIFO.
     """
 
@@ -94,6 +99,7 @@ class LeaseQueue:
             missing = self._known - set(self._groups)
             if missing:
                 raise ValueError(f"cells without a group: {sorted(missing)}")
+            self._pending = deque(sorted(self._pending, key=self._groups.get))
         #: worker_id -> group of the last cell it leased.
         self._affinity: dict[str, object] = {}
         self.lease_timeout = float(lease_timeout)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -33,6 +34,7 @@ import threading
 import time
 import urllib.parse
 import uuid
+import weakref
 
 from repro.distributed.errors import DistributedError, WorkerJoinError
 from repro.distributed.messages import (
@@ -77,6 +79,43 @@ def parse_address(value: str) -> tuple[str, int]:
 
 def _default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+
+
+class _StopRequest:
+    """A one-way stop flag that a signal handler may set.
+
+    ``threading.Event.set`` takes the event's lock.  A Python signal
+    handler runs on the main thread between two bytecodes, possibly while
+    that thread holds the same lock inside its own ``set`` or ``wait``, and
+    would then block on it for good.  :meth:`set` takes no lock: it stores
+    a flag and sends one byte over a socket pair (two racing calls may send
+    two; nothing reads them).  :meth:`wait` selects on the other end, whose
+    byte is never read, so every waiting thread wakes and every later wait
+    returns at once.  The pair closes when the request is collected, not
+    through a close method: a signal handler may call :meth:`set` for as
+    long as anything holds the request.
+    """
+
+    def __init__(self) -> None:
+        self._requested = False
+        self._receiver, self._sender = socket.socketpair()
+        self._sender.setblocking(False)
+        for sock in (self._receiver, self._sender):
+            weakref.finalize(self, sock.close)
+
+    def set(self) -> None:
+        if not self._requested:
+            self._requested = True
+            self._sender.send(b"\0")
+
+    def is_set(self) -> bool:
+        return self._requested
+
+    def wait(self, timeout: float) -> bool:
+        """Block until set or for ``timeout`` seconds; True when set."""
+        if not self._requested:
+            select.select([self._receiver], [], [], timeout)
+        return self._requested
 
 
 class WorkerClient:
@@ -124,7 +163,7 @@ class WorkerClient:
         self.max_consecutive_failures = int(max_consecutive_failures)
         self.verbose = verbose
         self.secret = str(secret) if secret else None
-        self._stop = threading.Event()
+        self._stop = _StopRequest()
         self._failures = 0
         self._settings: dict | None = None
         self._heartbeat_interval = 1.0
@@ -135,7 +174,13 @@ class WorkerClient:
 
     # -------------------------------------------------------------- plumbing
     def stop(self) -> None:
-        """Ask the loop to exit after the cell in flight (signal-safe)."""
+        """Ask the loop to exit after the cell in flight.
+
+        Safe to call from a signal handler, also one that interrupts the
+        loop's own stop: it takes no lock (see :class:`_StopRequest`).  The
+        loop then finishes the cell in flight, says bye and returns; a stop
+        before :meth:`run` registers makes it return without registering.
+        """
         self._stop.set()
 
     def _log(self, message: str) -> None:
@@ -277,6 +322,8 @@ class WorkerClient:
 
         Returns the worker-side counters (cells done/failed).
         """
+        if self._stop.is_set():
+            return self._counters()
         registration = self._exchange(
             "POST",
             "/worker/register",
@@ -328,6 +375,9 @@ class WorkerClient:
             except WireError:
                 pass  # leases expire on their own
         self._log(f"done ({self.n_cells_done} cells)")
+        return self._counters()
+
+    def _counters(self) -> dict:
         return {
             "n_cells_done": self.n_cells_done,
             "n_cells_failed": self.n_cells_failed,

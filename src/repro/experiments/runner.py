@@ -455,9 +455,13 @@ class ExperimentRunner:
         worker dies mid-cell and its leases are re-queued.  Workers keep
         per-process caches, and the lease queue hands a worker the cells
         of the encoder it trained last, so shared encoders and supervisions
-        are rarely rebuilt; when one is (a retry, or the last cells of a
-        group split across idle workers), the rebuild is deterministic and
-        yields the same features.
+        are rarely rebuilt; when one is (a retry, or a group split across
+        idle workers), the rebuild is deterministic and yields the same
+        features.  Cells are dispatched longest group first: sls encoder
+        groups, then plain-encoder groups, then cells without an encoder,
+        grid order within each.  A grid returns once every worker has said
+        bye (at most a second after the last result), so standby workers
+        are free for the next grid.
     lease_timeout : float, default 30.0
         Distributed mode only: seconds a worker may go silent before its
         leased cells are re-queued to other workers.
@@ -642,84 +646,70 @@ class ExperimentRunner:
         )
 
     def _encoder_groups(
-        self, pairs: list[tuple[Dataset, str]], settings: dict
-    ) -> dict[tuple[int, int], int]:
-        """Encoder group of every ``(pair index, repeat)`` cell.
+        self, cells: list[tuple[Dataset, str, str | dict]], settings: dict
+    ) -> dict[tuple[int, int], tuple[int, int]]:
+        """Group key ``(tier, group id)`` of every ``(cell index, repeat)``.
 
         Cells that would train the same encoder (see :func:`_encoder_key`)
         share a group; a cell without an encoder is a group of its own.
-        Group ids count up in cell order, so sorting cells by group keeps
-        the grid order within and between groups.
+        Group ids count up in grid order.  The tier ranks a group by the
+        work it carries, judged from the configuration alone: 0 when its
+        encoder trains on a built supervision (the sls models), 1 for a
+        plain encoder, 2 for a cell without one (a single clusterer run).
         """
         digests: dict[int, str] = {}
         ids: dict = {}
         groups = {}
-        for index, (dataset, algorithm) in enumerate(pairs):
-            entry = self._algorithms.get(algorithm, algorithm)
+        for index, (dataset, _, algorithm) in enumerate(cells):
             for repeat in range(self.n_repeats):
                 framework = _build_cell_pipeline(
-                    entry, dataset, repeat, settings
+                    algorithm, dataset, repeat, settings
                 ).framework
                 if framework is None:
-                    key = (index, repeat)
+                    tier, key = 2, (index, repeat)
                 else:
                     if id(dataset) not in digests:
                         digests[id(dataset)] = dataset_digest(dataset)
+                    tier = 0 if framework.config.uses_supervision else 1
                     key = _encoder_key(digests[id(dataset)], framework)
-                groups[index, repeat] = ids.setdefault(key, len(ids))
+                groups[index, repeat] = (tier, ids.setdefault(key, len(ids)))
         return groups
 
-    def _evaluate_cells_distributed(
-        self, pairs: list[tuple[Dataset, str]]
-    ) -> list[ExperimentCell]:
-        """Fan the (dataset, algorithm, repeat) cells out over the wire.
+    def _coordinator(self, cells: list[tuple[Dataset, str, str | dict]]):
+        """The (not yet started) coordinator of a distributed grid.
 
-        Loopback mode (``workers`` is an int) spawns local worker
-        subprocesses against an ephemeral coordinator; address mode dials
-        standby workers.  Outcomes are re-assembled in grid order — cell
-        ``(pair i, repeat r)`` always lands at the same position no matter
-        which worker computed it or how often it was re-queued — so the
-        merged table is bit-identical to the sequential run.  The lease
-        queue gets the cells' encoder groups on the side, so the cell
-        descriptors (and with them the journal fingerprint) stay as they
-        were.
+        The cell descriptors stay in grid order, so the journal fingerprint
+        does not depend on the dispatch order.  The encoder groups travel
+        beside them: the lease queue hands out the longest groups first
+        (Graham's longest-processing-time-first rule), so the last-leased
+        work is short and no worker is left training an encoder alone at
+        the end of the grid.
         """
-        from repro.distributed.coordinator import (
-            GridCoordinator,
-            coordinator_signal_drain,
-        )
-        from repro.distributed.errors import DistributedError
-        from repro.distributed.messages import outcome_from_wire
-        from repro.distributed.worker import (
-            dial_standby_workers,
-            spawn_loopback_workers,
-        )
+        from repro.distributed.coordinator import GridCoordinator
 
         settings = self._settings()
         datasets: dict[str, Dataset] = {}
-        cells = []
-        for index, (dataset, algorithm) in enumerate(pairs):
+        descriptors = []
+        for index, (dataset, label, algorithm) in enumerate(cells):
             datasets.setdefault(dataset.abbreviation, dataset)
-            entry = self._algorithms.get(algorithm, algorithm)
             for repeat in range(self.n_repeats):
-                cells.append(
+                descriptors.append(
                     {
                         "cell_id": f"{index}:{repeat}",
                         "dataset_ref": dataset.abbreviation,
-                        "algorithm": entry,
-                        "label": algorithm,
+                        "algorithm": algorithm,
+                        "label": label,
                         "repeat": repeat,
                     }
                 )
-
         groups = {
-            f"{index}:{repeat}": group
-            for (index, repeat), group in self._encoder_groups(
-                pairs, settings
+            f"{index}:{repeat}": key
+            for (index, repeat), key in self._encoder_groups(
+                cells, settings
             ).items()
         }
-        coordinator = GridCoordinator(
-            cells,
+        return GridCoordinator(
+            descriptors,
             datasets,
             settings,
             groups=groups,
@@ -730,7 +720,32 @@ class ExperimentRunner:
             max_cell_retries=self.max_cell_retries,
             quarantine_after=self.quarantine_after,
             secret=self.secret,
-        ).start()
+        )
+
+    def _evaluate_cells_distributed(
+        self, cells: list[tuple[Dataset, str, str | dict]]
+    ) -> list[ExperimentCell]:
+        """Fan the (dataset, algorithm, repeat) cells out over the wire.
+
+        Loopback mode (``workers`` is an int) spawns local worker
+        subprocesses against an ephemeral coordinator; address mode dials
+        standby workers.  Outcomes are re-assembled in grid order — cell
+        ``(cell i, repeat r)`` always lands at the same position no matter
+        which worker computed it or how often it was re-queued — so the
+        merged table is bit-identical to the sequential run.  The
+        coordinator outlives the grid until every worker has said bye (see
+        :meth:`GridCoordinator.dismiss`), so a standby worker is free for
+        the next grid as soon as this one returns.
+        """
+        from repro.distributed.coordinator import coordinator_signal_drain
+        from repro.distributed.errors import DistributedError
+        from repro.distributed.messages import outcome_from_wire
+        from repro.distributed.worker import (
+            dial_standby_workers,
+            spawn_loopback_workers,
+        )
+
+        coordinator = self._coordinator(cells).start()
         pool = None
         try:
             if isinstance(self.workers, int):
@@ -757,6 +772,9 @@ class ExperimentRunner:
             with coordinator_signal_drain(coordinator):
                 raw = coordinator.wait(poll=0.05, watchdog=watchdog)
         finally:
+            coordinator.dismiss(
+                gone=None if pool is None else lambda: pool.n_alive == 0
+            )
             coordinator.stop()
             if pool is not None:
                 pool.terminate()
@@ -774,66 +792,71 @@ class ExperimentRunner:
             for cell_id, payload in raw.items()
         }
         results = []
-        for index, (dataset, algorithm) in enumerate(pairs):
+        for index, (dataset, label, _) in enumerate(cells):
             chunk = [
                 outcomes[f"{index}:{repeat}"]
                 for repeat in range(self.n_repeats)
             ]
-            results.append(self._merge_cell(dataset, algorithm, chunk))
+            results.append(self._merge_cell(dataset, label, chunk))
         return results
 
     def _evaluate_cells(
-        self, pairs: list[tuple[Dataset, str]]
+        self, cells: list[tuple[Dataset, str, str | dict]]
     ) -> list[ExperimentCell]:
-        """Evaluate (dataset, algorithm) pairs: sequentially, or distributed
-        over workers.
+        """Evaluate ``(dataset, label, algorithm)`` cells: sequentially, or
+        distributed over workers.
 
         The sequential loop runs the cells of one encoder group back to
-        back, so the cache's single encoder slot serves the whole group,
-        and assembles the table by position, as the distributed path does.
+        back, groups in grid order, so the cache's single encoder slot
+        serves the whole group, and assembles the table by position, as the
+        distributed path does.  It ignores the dispatch tiers: one process
+        finishes no sooner for running the longest groups first.
         """
         if self.workers is not None:
-            return self._evaluate_cells_distributed(pairs)
+            return self._evaluate_cells_distributed(cells)
         settings = self._settings()
-        groups = self._encoder_groups(pairs, settings)
+        groups = self._encoder_groups(cells, settings)
         outcomes = {}
-        for index, repeat in sorted(groups, key=groups.__getitem__):
-            dataset, algorithm = pairs[index]
+        for index, repeat in sorted(groups, key=lambda cell: groups[cell][1]):
+            dataset, label, algorithm = cells[index]
             outcomes[index, repeat] = _run_repeat(
-                dataset,
-                self._algorithms.get(algorithm, algorithm),
-                repeat,
-                settings,
-                self._cache,
-                label=algorithm,
+                dataset, algorithm, repeat, settings, self._cache, label=label
             )
         return [
             self._merge_cell(
                 dataset,
-                algorithm,
+                label,
                 [outcomes[index, repeat] for repeat in range(self.n_repeats)],
             )
-            for index, (dataset, algorithm) in enumerate(pairs)
+            for index, (dataset, label, _) in enumerate(cells)
+        ]
+
+    def _grid_cells(self, dataset: Dataset) -> list[tuple[Dataset, str, str | dict]]:
+        return [
+            (dataset, label, algorithm)
+            for label, algorithm in self._algorithms.items()
         ]
 
     # --------------------------------------------------------------------- API
     def run_cell(self, dataset: Dataset, algorithm: str | dict) -> ExperimentCell:
         """Evaluate one (dataset, algorithm) cell with repeats.
 
-        ``algorithm`` is a table name or a registry spec (see
-        :func:`repro.experiments.grids.algorithm_spec`).
+        ``algorithm`` is a table name (a column of this runner's grid runs
+        that column's cell) or a registry spec (see
+        :func:`repro.experiments.grids.algorithm_spec`), which runs exactly
+        as given, whatever cell of the grid shares its label.  The runner's
+        grid does not change.
         """
         if isinstance(algorithm, dict):
             label = _build_spec_cell(algorithm).algorithm_name
-            self._algorithms.setdefault(label, algorithm)
-            algorithm = label
-        return self._evaluate_cells([(dataset, algorithm)])[0]
+        else:
+            label = str(algorithm)
+            algorithm = self._algorithms.get(label, label)
+        return self._evaluate_cells([(dataset, label, algorithm)])[0]
 
     def run_dataset(self, dataset: Dataset) -> list[ExperimentCell]:
         """Evaluate every algorithm of the grid on one dataset."""
-        return self._evaluate_cells(
-            [(dataset, algorithm) for algorithm in self.algorithm_names]
-        )
+        return self._evaluate_cells(self._grid_cells(dataset))
 
     def run_suite(self, suite: DatasetSuite, *, name: str | None = None) -> ExperimentTable:
         """Evaluate the whole grid over a dataset suite.
@@ -847,11 +870,7 @@ class ExperimentRunner:
             dataset_order=suite.abbreviations,
             algorithm_order=list(self.algorithm_names),
         )
-        pairs = [
-            (dataset, algorithm)
-            for dataset in suite
-            for algorithm in self.algorithm_names
-        ]
-        for cell in self._evaluate_cells(pairs):
+        cells = [cell for dataset in suite for cell in self._grid_cells(dataset)]
+        for cell in self._evaluate_cells(cells):
             table.add(cell)
         return table

@@ -1,14 +1,17 @@
-"""Shared encoders across the wire: lease affinity and the outcome format.
+"""Shared encoders across the wire: lease affinity, dispatch order and the
+outcome format.
 
 The runner passes the coordinator a cell -> encoder-group map beside the
-cell descriptors, so workers get the cells of the encoder they trained last
-while the descriptors, the journal fingerprint and the protocol version stay
-as they were.  Outcomes and journals written before ``encoder_hit`` existed
-still decode and resume.
+cell descriptors, so workers get the cells of the encoder they trained last,
+and the longest groups (sls encoders, then plain encoders, then raw
+clusterers) first, while the descriptors, the journal fingerprint and the
+protocol version stay as they were.  Outcomes and journals written before
+``encoder_hit`` existed still decode and resume.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -179,3 +182,76 @@ class TestDistributedSharing:
         )
         assert resumed.run_suite(suite).to_dict() == expected.to_dict()
         assert resumed.n_journal_replayed == 3
+
+
+def grid_cells(suite):
+    """The runner's ``(dataset, label, algorithm)`` cells of a nine-column
+    grid, in grid order."""
+    return [
+        (dataset, name, name)
+        for dataset in suite
+        for name in DATASETS_I_ALGORITHMS
+    ]
+
+
+class TestLongestGroupsFirst:
+    def test_two_workers_get_sls_then_plain_then_raw(self, suite):
+        runner = ExperimentRunner(DATASETS_I_ALGORITHMS, workers=2, **RUNNER_KW)
+        coordinator = runner._coordinator(grid_cells(suite))
+        leases = []  # (worker, dataset, label) in lease order
+        held = {}
+        try:
+            # Two workers lease and complete in turn, one cell at a time.
+            for worker in itertools.cycle(("w1", "w2")):
+                if coordinator.queue.done:
+                    break
+                if worker in held:
+                    coordinator.handle_result({
+                        "worker_id": worker,
+                        "cell_id": held.pop(worker),
+                        "outcome": OLD_OUTCOME,
+                    })
+                cell = coordinator.handle_lease({"worker_id": worker}).get("cell")
+                if cell is not None:
+                    held[worker] = cell["cell_id"]
+                    leases.append((worker, cell["dataset_ref"], cell["label"]))
+        finally:
+            coordinator._server.server_close()
+        assert len(leases) == 18
+        # The two sls encoder cells go first, one to each worker ...
+        assert [(d, label) for _, d, label in leases[:2]] == [
+            ("BO", "DP+slsGRBM"), ("WA", "DP+slsGRBM"),
+        ]
+        assert {worker for worker, _, _ in leases[:2]} == {"w1", "w2"}
+        # ... then the rest of the sls groups, the plain-encoder groups and
+        # the raw cells.
+        labels = [label for _, _, label in leases]
+        assert all("+sls" in label for label in labels[:6])
+        assert all(label.endswith("+GRBM") for label in labels[6:12])
+        assert all("+" not in label for label in labels[12:])
+        # No encoder group is split across the two workers.
+        holders = {}
+        for worker, dataset, label in leases:
+            if "+" in label:
+                family = label.split("+")[1]
+                holders.setdefault((dataset, family), set()).add(worker)
+        assert len(holders) == 4
+        assert all(len(workers) == 1 for workers in holders.values())
+
+    def test_journal_fingerprint_hashes_the_grid_order(self, suite, tmp_path):
+        journal = tmp_path / "grid.jsonl"
+        ExperimentRunner(
+            DATASETS_I_ALGORITHMS, workers=1, journal=journal, **RUNNER_KW
+        ).run_suite(suite)
+        header = json.loads(journal.read_text().splitlines()[0])
+        descriptors = [
+            {"cell_id": f"{index}:0", "dataset_ref": dataset.abbreviation,
+             "algorithm": name, "label": name, "repeat": 0}
+            for index, (dataset, name, _) in enumerate(grid_cells(suite))
+        ]
+        settings = dict(SETTINGS, n_hidden=6, random_state=5)
+        # The value the runner wrote before the dispatch order changed: a
+        # journal from then still resumes.
+        assert header["fingerprint"] == grid_fingerprint(
+            descriptors, settings, {dataset.abbreviation: dataset for dataset in suite}
+        )

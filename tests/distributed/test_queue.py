@@ -369,3 +369,40 @@ class TestNoGroupMapKeepsFifo:
                 assert getattr(queue, name)(*args) == getattr(fifo, name)(*args)
             assert queue.counters() == fifo.counters()
             assert list(queue._pending) == list(fifo._pending)
+
+
+#: Random group maps: keys shaped like the runner's ``(tier, group id)``,
+#: the given order being the dict's insertion order.
+_GROUP_MAPS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 4)), min_size=1, max_size=14
+).map(lambda keys: {f"c{index}": key for index, key in enumerate(keys)})
+
+
+class TestDispatchOrder:
+    """A group map sets the dispatch order: ascending group key, the given
+    order within a key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(groups=_GROUP_MAPS)
+    def test_one_worker_gets_groups_back_to_back_in_key_order(self, groups):
+        queue = LeaseQueue(list(groups), clock=FakeClock(), groups=groups)
+        order = []
+        while (cell_id := queue.lease("w1")) is not None:
+            order.append(cell_id)
+            assert queue.complete(cell_id, "w1") is True
+        assert queue.done
+        keys = [groups[cell_id] for cell_id in order]
+        # Each group back to back, groups in ascending key order ...
+        assert keys == sorted(keys)
+        # ... and a group's cells in their given order.
+        given = list(groups)
+        assert order == sorted(order, key=lambda c: (groups[c], given.index(c)))
+
+    def test_lowest_key_first_for_every_idle_worker(self, clock):
+        groups = {"raw": (2, 0), "plain": (1, 1), "sls1": (0, 2), "sls2": (0, 2)}
+        queue = make_grouped_queue(clock, groups)
+        assert queue.lease("w1") == "sls1"
+        # w2 holds nothing: the lowest key of a group no worker holds.
+        assert queue.lease("w2") == "plain"
+        assert queue.complete("sls1", "w1") is True
+        assert queue.lease("w1") == "sls2"

@@ -1,20 +1,29 @@
-"""End-to-end distributed runs: loopback workers vs the sequential runner.
+"""End-to-end distributed runs: loopback and standby workers vs the
+sequential runner.
 
 The contract under test is the strongest one the subsystem makes: a grid
 fanned out over worker subprocesses merges into a table *bit-identical* to
 the sequential run — including after a worker is SIGKILLed mid-grid and its
-leases are re-queued.
+leases are re-queued, and grid after grid on the same standby workers.
 """
 
 from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.datasets import load_uci_suite
 from repro.datasets.base import DatasetSuite
+from repro.datasets.msra_mm import load_msra_mm_dataset
+from repro.datasets.uci import load_uci_dataset
 from repro.distributed import DistributedError, GridCoordinator
 from repro.exceptions import ValidationError
+from repro.experiments.grids import algorithm_spec
 from repro.experiments.runner import ExperimentRunner
 
 ALGORITHMS = ("DP", "K-means", "K-means+slsRBM")
@@ -184,6 +193,99 @@ class TestWorkerLoss:
         )
         with pytest.raises(DistributedError, match="loopback workers exited"):
             runner.run_suite(mini_suite)
+
+
+class TestRunCellRunsTheGivenSpec:
+    """``run_cell(dataset, spec)`` evaluates exactly that spec, whatever
+    cell of the grid shares its label, and leaves the grid unchanged."""
+
+    KW = dict(n_hidden=6, n_epochs=2)
+
+    @pytest.fixture(scope="class")
+    def iris(self):
+        return load_uci_dataset("IR", scale=0.5, random_state=0)
+
+    def spec(self, dataset, n_hidden):
+        return algorithm_spec(
+            "K-means+slsRBM", dataset.n_classes, n_hidden=n_hidden, n_epochs=2
+        )
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_spec_is_not_replaced_by_the_name_cell(self, iris, workers):
+        spec = self.spec(iris, 3)
+        runner = ExperimentRunner(("K-means+slsRBM",), workers=workers, **self.KW)
+        cell = runner.run_cell(iris, spec)
+        expected = ExperimentRunner((spec,), **self.KW).run_cell(iris, spec)
+        named = ExperimentRunner(("K-means+slsRBM",), **self.KW).run_cell(
+            iris, "K-means+slsRBM"
+        )
+        assert expected.reports != named.reports
+        assert cell.to_dict() == expected.to_dict()
+        # The grid still runs its own cell.
+        assert runner.algorithm_names == ("K-means+slsRBM",)
+        table = runner.run_suite(DatasetSuite("one", [iris]))
+        assert table.cell("IR", "K-means+slsRBM").to_dict() == named.to_dict()
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_two_specs_of_one_label_each_run(self, iris, workers):
+        first, second = self.spec(iris, 3), self.spec(iris, 5)
+        runner = ExperimentRunner(("DP",), workers=workers, **self.KW)
+        cells = [runner.run_cell(iris, spec) for spec in (first, second)]
+        expected = [
+            ExperimentRunner(("DP",), **self.KW).run_cell(iris, spec)
+            for spec in (first, second)
+        ]
+        assert expected[0].reports != expected[1].reports
+        assert [cell.to_dict() for cell in cells] == [
+            cell.to_dict() for cell in expected
+        ]
+        assert runner.algorithm_names == ("DP",)
+
+
+def start_standby_worker():
+    """A ``python -m repro worker --listen 0`` process and its address."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(path for path in sys.path if path)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "worker", "--listen", "0"],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    line = process.stdout.readline()
+    match = re.search(r"on http://([\d.]+:\d+)", line)
+    if match is None:
+        process.kill()
+        process.wait(timeout=10)
+        raise AssertionError(f"standby worker never announced: {line!r}")
+    return process, match.group(1)
+
+
+class TestStandbyWorkers:
+    def test_back_to_back_grids_on_the_same_workers(self):
+        """The coordinator keeps serving until both workers said bye, so a
+        worker that idled while the other finished the last cell is free
+        for the next grid instead of retrying a vanished coordinator."""
+        suite = DatasetSuite(
+            "msra-mm",
+            [
+                load_msra_mm_dataset(abbreviation, scale=0.3, random_state=0)
+                for abbreviation in ("BO", "WA")
+            ],
+        )
+        algorithms = ("DP", "K-means")
+        expected = ExperimentRunner(algorithms).run_suite(suite).to_dict()
+        workers = [start_standby_worker() for _ in range(2)]
+        try:
+            addresses = [address for _, address in workers]
+            for _ in range(2):
+                runner = ExperimentRunner(algorithms, workers=addresses)
+                assert runner.run_suite(suite).to_dict() == expected
+        finally:
+            for process, _ in workers:
+                process.terminate()
+            for process, _ in workers:
+                assert process.wait(timeout=10) == 0
 
 
 class TestDistributedCacheCounters:

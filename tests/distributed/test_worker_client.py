@@ -1,5 +1,6 @@
-"""Worker-client hardening: transport retries, fatal statuses, and the
-heartbeat thread's survival guarantee.
+"""Worker-client hardening: transport retries, fatal statuses, the
+heartbeat thread's survival guarantee and a stop that signals cannot
+deadlock.
 
 ``request_json`` is monkeypatched with scripted responses, so every retry
 path runs in milliseconds with no sockets.
@@ -7,6 +8,9 @@ path runs in milliseconds with no sockets.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -146,3 +150,69 @@ class TestHeartbeatGuard:
         client.stop()
         thread.join(timeout=2)
         assert not thread.is_alive()
+
+
+#: Installs the worker's stop handlers, then sends the process SIGTERM from
+#: inside the stop update that ends ``WorkerClient.run`` — the moment the
+#: runner's SIGTERM most often lands, right after the last result told the
+#: worker to stop.  The handler calls ``client.stop()`` in the middle of it.
+SIGTERM_INSIDE_STOP = """
+import os, signal
+from repro.distributed import worker
+
+client = worker.WorkerClient("127.0.0.1", 1)
+worker._current_client["client"] = client
+worker._install_stop_signals()
+request = client._stop
+sender = request._sender
+
+
+class SignallingSender:
+    def send(self, data):
+        os.kill(os.getpid(), signal.SIGTERM)
+        return sender.send(data)
+
+
+request._sender = SignallingSender()
+request.set()
+assert request.is_set() and request.wait(0)
+print("stopped")
+"""
+
+
+class TestSignalSafeStop:
+    def test_sigterm_inside_the_stop_update_does_not_deadlock(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(path for path in sys.path if path)
+        process = subprocess.Popen(
+            [sys.executable, "-c", SIGTERM_INSIDE_STOP],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            output, _ = process.communicate(timeout=15)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.communicate()
+            pytest.fail("the SIGTERM handler deadlocked inside the stop update")
+        assert process.returncode == 0, output
+        assert output.strip() == "stopped"
+
+    def test_stop_wakes_a_waiting_thread(self):
+        client = WorkerClient("127.0.0.1", 1)
+        woke = []
+        thread = threading.Thread(target=lambda: woke.append(client._stop.wait(30)))
+        thread.start()
+        client.stop()
+        thread.join(timeout=2)
+        assert woke == [True]
+
+    def test_stop_before_run_registers_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(worker_module, "request_json", scripted([], calls))
+        client = WorkerClient("127.0.0.1", 1)
+        client.stop()
+        assert client.run() == {"n_cells_done": 0, "n_cells_failed": 0}
+        assert calls == []
